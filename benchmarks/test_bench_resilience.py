@@ -10,14 +10,11 @@ per-mode wall times land in the pytest-benchmark report.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from pathlib import Path
 
-from repro.experiments.parallel import (
-    _simulate_stripped,
-    parallel_map,
-    parallel_simulate,
-)
+from repro.experiments.parallel import _simulate_stripped, parallel_simulate
 from repro.resilience import CheckpointJournal, Supervision
 from repro.silicon.variation import CHIP3
 from repro.system import PitonSystem
@@ -83,7 +80,10 @@ def test_bench_supervised_pool_overhead(benchmark):
     requests = _grid()
 
     def bare_pool():
-        parallel_map(_simulate_stripped, requests, jobs=4)
+        pool = multiprocessing.Pool(4)
+        pool.map(_simulate_stripped, requests)
+        pool.close()
+        pool.join()
 
     def supervised_pool():
         list(

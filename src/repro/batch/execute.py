@@ -1,12 +1,12 @@
-"""Execute a batch plan: one simulation per group, N outcomes out.
+"""The grid executor: one simulation per group, N outcomes out.
 
-:func:`batched_simulate` is the batched counterpart of the historical
-request-at-a-time fan-out in :mod:`repro.experiments.parallel`: it
-simulates one representative per :class:`~repro.batch.plan.BatchGroup`
-(in-process, or across the :class:`~repro.resilience.SupervisedPool`
-for ``jobs > 1``) and replicates each outcome to the group's members
-through a :class:`~repro.batch.accumulate.LedgerMatrix`, yielding
-outcomes in the original grid order.
+:func:`batched_simulate` runs every materialized grid, batched or not
+(an unbatched grid is a grid of singleton groups): it simulates one
+representative per group of grid indices (in-process, or across the
+:class:`~repro.resilience.SupervisedPool` for ``jobs > 1``) and
+replicates each outcome to the group's members through a
+:class:`~repro.batch.accumulate.LedgerMatrix`, yielding outcomes in
+the original grid order.
 
 The checkpoint journal composes transparently: every *member* point is
 journaled under its own ``(index, request digest)`` the moment its
@@ -21,7 +21,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.batch.accumulate import LedgerMatrix
-from repro.batch.plan import BatchPlan, plan_batches
+from repro.batch.plan import plan_batches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience import Supervision
@@ -30,12 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _simulate_stripped(request: "SimRequest") -> "SimOutcome":
-    """Pool/worker entry point: simulate, drop the engine.
-
-    A module-level twin of the one in
-    :mod:`repro.experiments.parallel` (that module imports this one,
-    so the worker function lives here to keep the import one-way).
-    """
+    """Pool/worker entry point: simulate, drop the engine."""
     from repro.system import run_simulation
 
     outcome = run_simulation(request)
@@ -82,20 +77,23 @@ def replicate_outcome(
 
 def batched_simulate(
     requests: "Sequence[SimRequest]",
-    plan: BatchPlan | None = None,
+    groups: Sequence[Sequence[int]] | None = None,
     jobs: int = 1,
     supervision: "Supervision | None" = None,
     fidelity: "FidelityPolicy | None" = None,
 ) -> "Iterator[SimOutcome]":
     """Simulate a grid group-wise, yielding outcomes in grid order.
 
-    Mirrors the contract of the unbatched supervised path exactly:
-    results in submission order, journaled points (on resume) never
-    re-simulated, every completed point appended to the journal as it
-    exists, the journal retired only once the final outcome was
-    delivered, and per-point retry/deadline supervision applied to the
-    representative simulations. The only difference is how many times
-    :func:`~repro.system.run_simulation` actually runs.
+    ``groups`` partitions the grid indices; each group's first member
+    is simulated for all of them. ``None`` means
+    :func:`~repro.batch.plan.plan_batches`' timing classes; singleton
+    groups run every point on its own.
+
+    Results come back in submission order, journaled points (on
+    resume) are never re-simulated, every completed point is appended
+    to the journal as it exists, the journal is retired only once the
+    final outcome was delivered, and per-point retry/deadline
+    supervision applies to the representative simulations.
 
     ``fidelity`` (the ``--tier auto``/``fast`` policy) slots in at the
     same per-member seam the journal uses: a journaled outcome is only
@@ -111,8 +109,8 @@ def batched_simulate(
     )
     from repro.surrogate.dispatch import accepts_cached_outcome
 
-    if plan is None:
-        plan = plan_batches(requests)
+    if groups is None:
+        groups = [group.indices for group in plan_batches(requests).groups]
     supervision = (
         supervision if supervision is not None else Supervision()
     )
@@ -126,9 +124,9 @@ def batched_simulate(
     #: members of a group from the journal, and the surrogate may
     #: have served others).
     todo: list[list[int]] = []
-    for group in plan.groups:
+    for group in groups:
         missing: list[int] = []
-        for index in group.indices:
+        for index in group:
             cached = (
                 journal.get(index, digests[index])
                 if journal is not None
@@ -191,6 +189,9 @@ def batched_simulate(
                 # once, freeing the grid as the consumer walks it.
                 yield outcomes.pop(index)
         finally:
+            # Runs on exhaustion *and* when the consumer drops the
+            # iterator; the journal is done only if the final point
+            # was delivered.
             if journal is not None and index == len(requests) - 1:
                 journal.complete()
 

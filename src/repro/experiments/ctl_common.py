@@ -4,10 +4,12 @@ Each ctl experiment is a small set of :class:`ScenarioSpec` arms run
 through one entry point, :func:`run_specs`, which provides the three
 guarantees the acceptance tests pin:
 
-* **jobs-identity** — arms fan across
-  :func:`~repro.experiments.parallel.parallel_map` (specs are frozen
-  values, ``run_scenario`` is module-level, telemetry is seeded per
-  spec), so ``--jobs 2`` reproduces serial traces bit for bit;
+* **jobs-identity** — arms fan across a
+  :class:`~repro.resilience.SupervisedPool` (specs are frozen values,
+  ``run_scenario`` is module-level, telemetry is seeded per spec), so
+  ``--jobs 2`` reproduces serial traces bit for bit, and a crashed or
+  hung worker is retried under the context's ``--retries`` and
+  ``--deadline`` like any grid point;
 * **checks-identity** — ``--checks`` audits the finished traces in the
   parent with :meth:`~repro.check.CheckSuite.check_governor`; a
   checked run either matches an unchecked one exactly or dies loudly;
@@ -19,9 +21,9 @@ guarantees the acceptance tests pin:
 from __future__ import annotations
 
 from repro.experiments.context import RunContext
-from repro.experiments.parallel import parallel_map
 from repro.governor.controller import GovernedTrace
 from repro.governor.scenarios import ScenarioSpec, run_scenario
+from repro.resilience import RetryPolicy, SupervisedPool
 from repro.silicon.variation import PERSONAS
 
 
@@ -42,7 +44,12 @@ def run_specs(
     ctx: RunContext, specs: list[ScenarioSpec]
 ) -> list[GovernedTrace]:
     """Run every arm, audit if asked, and count governor telemetry."""
-    traces = parallel_map(run_scenario, specs, jobs=ctx.jobs)
+    traces = SupervisedPool(
+        run_scenario,
+        jobs=ctx.jobs,
+        policy=RetryPolicy(retries=ctx.retries, deadline_s=ctx.deadline_s),
+        tracer=ctx.trace,
+    ).map(specs)
     if ctx.checks:
         from repro.check import CheckSuite
 

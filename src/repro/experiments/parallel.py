@@ -18,9 +18,9 @@ results to a serial run by construction:
 3. replay the measurements serially, in the parent process, in the
    original order, via :meth:`PitonSystem.measure_outcome`.
 
-With ``jobs <= 1`` everything runs in-process (and the simulation
-engines stay attached to the outcomes); with ``jobs > 1`` the
-simulations run on a :class:`~repro.resilience.SupervisedPool`, which
+With ``jobs <= 1`` everything runs in-process; with ``jobs > 1`` the
+simulations run, through :func:`repro.batch.batched_simulate` (the one
+grid executor), on a :class:`~repro.resilience.SupervisedPool`, which
 detects crashed and hung workers, retries their points with backoff,
 and keeps one poisoned point from killing the grid. Passing a
 :class:`~repro.resilience.Supervision` adds checkpoint journaling: each
@@ -32,62 +32,16 @@ in order, so resumed results are bit-identical to uninterrupted ones.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Iterable,
-    Iterator,
-    Sequence,
-    TypeVar,
-)
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.batch import batched_simulate, plan_batches
 from repro.batch.execute import _simulate_stripped
 from repro.obs.trace import Tracer
-from repro.resilience import Supervision, SupervisedPool, request_digest
+from repro.resilience import Supervision
 from repro.system import SimOutcome, SimRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.surrogate.dispatch import FidelityPolicy
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def parallel_map(
-    fn: Callable[[T], R], items: Sequence[T], jobs: int = 1
-) -> list[R]:
-    """``[fn(x) for x in items]``, optionally across a process pool.
-
-    Results always come back in submission order (``Pool.map``
-    preserves it). ``fn`` must be a module-level function and ``items``
-    picklable when ``jobs > 1``.
-
-    A completed ``map`` drains the pool gracefully (``close()`` +
-    ``join()``): idle workers exit on their own instead of eating a
-    ``SIGTERM``, which matters because CLI runs install signal
-    handlers that forked workers inherit — terminating a healthy pool
-    would make every worker die raising ``GridInterrupted`` to
-    stderr. A ``map`` that *raises* is torn down with an explicit
-    ``terminate()`` + ``join()``: relying on ``Pool.__exit__`` alone
-    leaks worker processes when a ``KeyboardInterrupt`` lands
-    mid-``map`` (the interrupted main thread can abandon the pool's
-    internal machinery before ``__exit__``'s cleanup runs to
-    completion).
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    pool = multiprocessing.Pool(min(jobs, len(items)))
-    try:
-        results = pool.map(fn, items)
-    except BaseException:
-        pool.terminate()
-        pool.join()
-        raise
-    pool.close()
-    pool.join()
-    return results
 
 
 def parallel_simulate(
@@ -134,8 +88,8 @@ def parallel_simulate(
     of the request, and the batch key covers everything it reads.
     Batching materializes the request stream up front (the plan needs
     the whole grid); when nothing coalesces, execution falls straight
-    through to the historical paths below at zero extra cost beyond
-    the planning pass.
+    through to the unbatched paths at zero extra cost beyond the
+    planning pass.
 
     ``fidelity`` routes points through the two-tier dispatcher
     (:mod:`repro.surrogate`): points a calibrated profile can serve
@@ -149,9 +103,10 @@ def parallel_simulate(
     are re-simulated rather than silently reused.
     """
     journal = supervision.journal if supervision is not None else None
+    groups: list[tuple[int, ...]] | None = None
     if batch:
-        materialized = list(requests)
-        plan = plan_batches(materialized)
+        requests = list(requests)
+        plan = plan_batches(requests)
         stats_tracer = tracer
         if stats_tracer is None and supervision is not None:
             stats_tracer = supervision.tracer
@@ -166,131 +121,33 @@ def parallel_simulate(
                     "batch_debatch_events", plan.debatch_events
                 )
         if plan.points_coalesced > 0:
-            outcomes = batched_simulate(
-                materialized,
-                plan,
-                jobs=jobs,
-                supervision=supervision,
-                fidelity=fidelity,
-            )
-            if tracer is None or not tracer.enabled:
-                return outcomes
-            return _record_points(outcomes, tracer)
-        requests = materialized
-    if fidelity is not None:
-        simulate_one: Callable[[SimRequest], SimOutcome] = (
+            groups = [group.indices for group in plan.groups]
+    if groups is None and (jobs > 1 or journal is not None):
+        requests = list(requests)
+        if len(requests) > 1 or journal is not None:
+            groups = [(index,) for index in range(len(requests))]
+    if groups is not None:
+        outcomes: Iterator[SimOutcome] = batched_simulate(
+            requests,
+            groups,
+            jobs=jobs,
+            supervision=supervision,
+            fidelity=fidelity,
+        )
+    elif fidelity is not None:
+        outcomes = map(
             lambda request: fidelity.predict(request)
-            or _simulate_stripped(request)
+            or _simulate_stripped(request),
+            requests,
         )
     else:
-        simulate_one = _simulate_stripped
-    if jobs <= 1 and journal is None:
         # The historical zero-cost serial path: fully lazy, nothing
         # supervised (an in-process failure is deterministic — a
         # retry would fail identically).
-        outcomes: Iterator[SimOutcome] = map(simulate_one, requests)
-    else:
-        materialized = list(requests)
-        if len(materialized) <= 1 and journal is None:
-            outcomes = map(simulate_one, materialized)
-        else:
-            outcomes = _run_supervised(
-                materialized, jobs, supervision, fidelity
-            )
+        outcomes = map(_simulate_stripped, requests)
     if tracer is None or not tracer.enabled:
         return outcomes
     return _record_points(outcomes, tracer)
-
-
-def _run_supervised(
-    requests: Sequence[SimRequest],
-    jobs: int,
-    supervision: Supervision | None,
-    fidelity: "FidelityPolicy | None" = None,
-) -> Iterator[SimOutcome]:
-    """Run a materialized grid under supervision (and/or a journal).
-
-    Journaled points (on resume) never reach the pool; the rest run
-    supervised — across workers for ``jobs > 1``, in-process for a
-    serial journaled run — each appended to the journal the moment it
-    completes, so an interrupt at any point loses only in-flight work.
-
-    Tier-awareness composes at the same per-point seam: a journaled
-    outcome must satisfy the active fidelity policy to be reused (a
-    surrogate point is re-simulated when cycle-level fidelity is
-    requested, counted as ``points_tier_rejected``), and points the
-    surrogate serves are journaled exactly like simulated ones.
-
-    The journal is retired once the consumer has received the final
-    outcome (tracked in the ``finally``: the generator knows the last
-    index it yielded even when the consumer stops calling ``next``
-    afterwards). A consumer that abandons the grid mid-way — an
-    interrupt unwinding through the measurement replay — leaves every
-    completed point on disk for ``--resume``.
-    """
-    from repro.surrogate.dispatch import accepts_cached_outcome
-
-    supervision = supervision if supervision is not None else Supervision()
-    journal = supervision.journal
-    count = supervision.tracer.count
-    digests = [request_digest(request) for request in requests]
-    outcomes: dict[int, SimOutcome] = {}
-    todo: list[int] = []
-    for index, digest in enumerate(digests):
-        cached = journal.get(index, digest) if journal is not None else None
-        if cached is not None and not accepts_cached_outcome(
-            cached, fidelity
-        ):
-            count("points_tier_rejected")
-            cached = None
-        if cached is not None:
-            outcomes[index] = cached
-            count("points_resumed")
-            continue
-        predicted = (
-            fidelity.predict(requests[index])
-            if fidelity is not None
-            else None
-        )
-        if predicted is not None:
-            outcomes[index] = predicted
-            if journal is not None:
-                journal.append(index, digest, predicted)
-            continue
-        todo.append(index)
-    if journal is not None:
-        journal.write_meta(
-            experiment_id=supervision.experiment_id,
-            points_expected=len(requests),
-        )
-
-    def on_result(todo_index: int, outcome: SimOutcome) -> None:
-        index = todo[todo_index]
-        outcomes[index] = outcome
-        if journal is not None:
-            journal.append(index, digests[index], outcome)
-
-    pool = SupervisedPool(
-        _simulate_stripped,
-        jobs=jobs,
-        policy=supervision.policy,
-        tracer=supervision.tracer,
-    )
-    pool.map([requests[i] for i in todo], on_result=on_result)
-
-    def emit() -> Iterator[SimOutcome]:
-        index = -1
-        try:
-            for index in range(len(requests)):
-                yield outcomes[index]
-        finally:
-            # Runs on exhaustion *and* when the consumer drops the
-            # iterator; the journal is done only if the final point
-            # was delivered.
-            if journal is not None and index == len(requests) - 1:
-                journal.complete()
-
-    return emit()
 
 
 def _record_points(

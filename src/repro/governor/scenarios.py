@@ -5,7 +5,7 @@ governed run needs — persona, cooling stack, VDD grid, workload
 phases, policy and its knobs, disturbance events, telemetry seed — and
 :func:`run_scenario` is the module-level function that executes one.
 Both are picklable, so the ctl experiments fan scenario arms across
-:func:`repro.experiments.parallel.parallel_map` workers and get
+:class:`repro.resilience.SupervisedPool` workers and get
 bit-identical traces serial or parallel (the telemetry stream is
 seeded per spec, and :class:`~repro.power.vf_curve.VfCurve`'s memo
 cache is a pure-function cache).
@@ -226,8 +226,8 @@ def run_scenario(spec: ScenarioSpec, checker=None) -> GovernedTrace:
     """Execute one scenario end to end.
 
     Module-level and driven purely by the spec, so
-    ``parallel_map(run_scenario, specs, jobs)`` works and reproduces
-    serial results bit for bit.
+    ``SupervisedPool(run_scenario, jobs).map(specs)`` works and
+    reproduces serial results bit for bit.
     """
     cooling = COOLING_SETUPS[spec.cooling]
     ladder = vf_ladder(

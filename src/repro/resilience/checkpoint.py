@@ -1,37 +1,33 @@
 """Journaled checkpoints: crash-safe records of completed points.
 
 A :class:`CheckpointJournal` is a directory holding one *segment* file
-per completed grid point plus a small ``meta.json``. Appending a point
-writes its segment to a same-directory temp file, fsyncs, then
-``os.replace``\\ s it into place — the journal therefore never contains
-a half-written segment under its final name; a torn write (power loss,
-``kill -9`` mid-rename) at worst leaves a stray temp file that the
-next open sweeps away.
+per completed grid point plus a small ``meta.json``, each written with
+:func:`repro.util.io.atomic_write_bytes`; a writer killed mid-write at
+worst leaves a stray ``.tmp-*`` file that the next open sweeps away.
 
-Each segment frames a pickled payload (a stripped
-:class:`~repro.system.SimOutcome`) with a magic string, the payload
-length, a CRC32, and the SHA-256 digest of the :class:`SimRequest`
-that produced it. On resume a point is only reused when its index
-*and* request digest match — so a journal from a different grid shape
-(``--quick`` vs full, different persona) can never leak stale outcomes
-into a run — and any segment whose length or CRC does not verify is
-treated as absent: only the damaged tail of an interrupted campaign is
-re-simulated, never the whole grid.
+Each segment is a :func:`repro.util.io.frame` around a pickled payload
+(a stripped :class:`~repro.system.SimOutcome`) whose header also
+carries the SHA-256 digest of the :class:`SimRequest` that produced
+it. On resume a point is only reused when its index *and* request
+digest match — so a journal from a different grid shape (``--quick``
+vs full, different persona) can never leak stale outcomes into a run —
+and any segment that does not verify is treated as absent: only the
+damaged tail of an interrupted campaign is re-simulated, never the
+whole grid.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import re
 import struct
-import tempfile
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.util.io import atomic_write_bytes, atomic_write_text, frame, unframe
 
 #: Bump when the segment framing changes; unknown versions are damaged.
 _MAGIC = b"RJRN1\0"
@@ -61,18 +57,17 @@ def _segment_name(index: int) -> str:
     return f"point-{index:06d}.seg"
 
 
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry (best effort on exotic filesystems)."""
+def _read_segment(seg: Path) -> tuple[bytes, bytes] | None:
+    """``(request digest, payload)`` of a well-formed segment, else None."""
     try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-specific
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-specific
-        pass
-    finally:
-        os.close(fd)
+        blob = seg.read_bytes()
+    except OSError:  # pragma: no cover - unreadable file
+        return None
+    framed = unframe(_MAGIC, _HEADER, blob)
+    if framed is None:
+        return None
+    (digest,), payload = framed
+    return digest, payload
 
 
 @dataclass
@@ -142,11 +137,11 @@ class CheckpointJournal:
             m = _SEGMENT_RE.match(seg.name)
             if m is None:
                 continue
-            digest = self._verify_segment(seg)
-            if digest is None:
+            segment = _read_segment(seg)
+            if segment is None:
                 self.damaged.append(seg.name)
             else:
-                self._index[int(m.group(1))] = (digest, seg)
+                self._index[int(m.group(1))] = (segment[0], seg)
 
     def complete(self) -> None:
         """The campaign finished: the journal has served its purpose."""
@@ -159,57 +154,31 @@ class CheckpointJournal:
             pass
 
     # --------------------------------------------------------------- segments
-    @staticmethod
-    def _verify_segment(seg: Path) -> bytes | None:
-        """The request digest of a well-formed segment, else ``None``."""
-        try:
-            blob = seg.read_bytes()
-        except OSError:  # pragma: no cover - unreadable file
-            return None
-        head = len(_MAGIC) + _HEADER.size
-        if len(blob) < head or not blob.startswith(_MAGIC):
-            return None
-        crc, length, digest = _HEADER.unpack(blob[len(_MAGIC):head])
-        payload = blob[head:]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return None
-        return digest
-
     def append(self, index: int, digest: bytes, outcome: object) -> Path:
-        """Journal one completed point (atomic temp-file + rename)."""
+        """Journal one completed point (atomic, durable write)."""
         payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = (
-            _MAGIC
-            + _HEADER.pack(zlib.crc32(payload), len(payload), digest)
-            + payload
+        final = atomic_write_bytes(
+            self.path / _segment_name(index),
+            frame(_MAGIC, _HEADER, payload, digest),
         )
-        final = self.path / _segment_name(index)
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.path)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, final)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        _fsync_dir(self.path)
         self._index[index] = (digest, final)
         return final
 
     def get(self, index: int, digest: bytes) -> object | None:
-        """The journaled outcome for ``(index, digest)``, if intact."""
+        """The journaled outcome for ``(index, digest)``, if intact.
+
+        The segment is read once: only the bytes that verified are
+        unpickled, however the file changes underneath.
+        """
         entry = self._index.get(index)
         if entry is None or entry[0] != digest:
             return None
-        seg_digest = self._verify_segment(entry[1])
-        if seg_digest != digest:  # damaged since the scan
+        segment = _read_segment(entry[1])
+        if segment is None or segment[0] != digest:  # damaged since scan
             self._index.pop(index, None)
             self.damaged.append(entry[1].name)
             return None
-        blob = entry[1].read_bytes()
-        return pickle.loads(blob[len(_MAGIC) + _HEADER.size:])
+        return pickle.loads(segment[1])
 
     def __contains__(self, index: int) -> bool:
         return index in self._index
@@ -230,8 +199,6 @@ class CheckpointJournal:
             "points_expected": points_expected,
             "updated_at": time.time(),
         }
-        from repro.util.io import atomic_write_text
-
         atomic_write_text(
             self.path / _META_NAME, json.dumps(meta, indent=2) + "\n"
         )
@@ -258,7 +225,7 @@ def journal_status(path: Path | str) -> JournalStatus:
         size = seg.stat().st_size
         status.bytes += size
         newest = max(newest, seg.stat().st_mtime)
-        if CheckpointJournal._verify_segment(seg) is None:
+        if _read_segment(seg) is None:
             status.damaged.append(seg.name)
         else:
             status.points += 1

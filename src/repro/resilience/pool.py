@@ -80,7 +80,7 @@ def _worker_main(
     fn: Callable[[object], object],
     task_q: "multiprocessing.Queue",
     result_q: "multiprocessing.Queue",
-    forward_events: bool = False,
+    isolate: bool = False,
 ) -> None:
     """Worker loop: heartbeat, run, report; repeat until sentinel.
 
@@ -89,7 +89,7 @@ def _worker_main(
     SIGTERM), and SIGTERM is reset to its default so ``terminate()``
     kills even a worker wedged mid-point.
 
-    With ``forward_events`` the task function is called as
+    With ``isolate`` the task function is called as
     ``fn(payload, emit)``; anything it passes to ``emit`` (small
     JSON-able dicts, in practice tracer events) is relayed to the
     supervisor as an ``("event", ...)`` message while the point is
@@ -108,7 +108,7 @@ def _worker_main(
         result_q.put(("start", worker_id, index, attempt, time.time()))
         try:
             trigger_worker_fault(index, attempt)
-            if forward_events:
+            if isolate:
 
                 def emit(event: object, _i=index, _a=attempt) -> None:
                     result_q.put(("event", worker_id, _i, _a, event))
@@ -157,32 +157,24 @@ class SupervisedPool:
         tracer: Tracer | None = None,
         *,
         isolate: bool = False,
-        daemon: bool = True,
-        forward_events: bool = False,
-        in_process_fallback: bool = True,
     ):
-        """``isolate=True`` forces worker processes even for a single
-        task or ``jobs=1`` — the serve tier needs the process boundary
-        itself (a segfault must land in a child), not the parallelism.
-        ``daemon=False`` makes workers non-daemonic so a worker can
-        fan out its own inner pool (a served sweep with ``jobs > 1``).
-        ``forward_events`` switches the task-function calling
-        convention to ``fn(payload, emit)`` (see :func:`_worker_main`)
-        and enables :meth:`map`'s ``on_event`` callback.
-        ``in_process_fallback=False`` turns the last-resort serial
-        attempt off: a point that exhausts its retry budget raises
-        :class:`PointFailure` instead of re-running inside the
-        supervising process — mandatory when the supervisor is a
-        daemon that must survive a deterministically-crashing task.
+        """``isolate=True`` is the serve tier's mode: it needs the
+        process boundary itself (a segfault must land in a child), not
+        the parallelism. Workers are always spawned, even for a single
+        task or ``jobs=1``; they are non-daemonic, so a worker can fan
+        out its own inner pool (a served sweep with ``jobs > 1``); the
+        task function is called as ``fn(payload, emit)`` (see
+        :func:`_worker_main`), feeding :meth:`map`'s ``on_event``; and
+        there is no in-process fallback — a point that exhausts its
+        retry budget raises :class:`PointFailure` instead of re-running
+        inside the supervisor, which must survive a
+        deterministically-crashing task.
         """
         self.fn = fn
         self.jobs = max(1, jobs)
         self.policy = policy if policy is not None else RetryPolicy()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.isolate = isolate
-        self.daemon_workers = daemon
-        self.forward_events = forward_events
-        self.in_process_fallback = in_process_fallback
         self._next_worker_id = 0
         self._workers: dict[int, _Worker] = {}
         self._result_q: "multiprocessing.Queue | None" = None
@@ -206,7 +198,7 @@ class SupervisedPool:
         ``on_result(index, result)`` fires as each point completes
         (workers finish out of submission order); the returned list is
         always in submission order. ``on_event(index, event)`` (with
-        ``forward_events``) fires for every event the running task
+        ``isolate``) fires for every event the running task
         emits, while it is still running — events from an attempt that
         is later retried are forwarded too, so consumers see honest
         per-attempt telemetry, not a deduplicated fiction.
@@ -216,7 +208,7 @@ class SupervisedPool:
         if not self.isolate and (self.jobs <= 1 or len(tasks) == 1):
             results = []
             for index, task in enumerate(tasks):
-                result = self._call_in_process(task, index, on_event)
+                result = self.fn(task)
                 self.tracer.count("points_simulated")
                 if on_result is not None:
                     on_result(index, result)
@@ -243,19 +235,6 @@ class SupervisedPool:
         finally:
             self._teardown()
 
-    def _call_in_process(
-        self,
-        task: object,
-        index: int,
-        on_event: Callable[[int, object], None] | None,
-    ) -> object:
-        """Run one task in this process, honoring the calling convention."""
-        if self.forward_events:
-            if on_event is not None:
-                return self.fn(task, lambda event: on_event(index, event))
-            return self.fn(task, lambda event: None)
-        return self.fn(task)
-
     # ---------------------------------------------------------------- workers
     def _spawn_worker(self) -> None:
         task_q: "multiprocessing.Queue" = multiprocessing.Queue()
@@ -268,9 +247,9 @@ class SupervisedPool:
                 self.fn,
                 task_q,
                 self._result_q,
-                self.forward_events,
+                self.isolate,
             ),
-            daemon=self.daemon_workers,
+            daemon=not self.isolate,
             name=f"repro-supervised-{worker_id}",
         )
         proc.start()
@@ -434,9 +413,8 @@ class SupervisedPool:
             )
             self._pending.append((ready_at, index, next_attempt))
             return
-        if not self.in_process_fallback:
-            # The supervisor must outlive the task (it is a daemon, or
-            # the task is known to crash its host): spent budget is a
+        if self.isolate:
+            # The supervisor must outlive the task: spent budget is a
             # hard failure, never an in-process re-run.
             raise PointFailure(
                 index,
@@ -448,9 +426,7 @@ class SupervisedPool:
         # error, with the last worker-side detail attached.
         self.tracer.count("fallback_in_process")
         try:
-            result = self._call_in_process(
-                self._tasks[index], index, self._on_event
-            )
+            result = self.fn(self._tasks[index])
         except Exception as exc:
             raise PointFailure(
                 index,

@@ -13,11 +13,11 @@ checkpoint journal already proves stable across processes (see
 * ``run`` — complete ``ExperimentResult`` JSON documents for
   ``POST /v1/run``, returned byte-for-byte on a warm hit.
 
-Entries are framed (magic, CRC32, payload length, fidelity tier,
-error bound) and written atomically (same-directory temp + fsync +
-rename), so a torn write can never serve a half-entry: a frame that
-fails verification is treated as absent and the point simply
-re-simulates — and overwrites the bad entry with a good one.
+Entries are frames (:func:`repro.util.io.frame`) whose header carries
+the fidelity tier and error bound, written with
+:func:`repro.util.io.atomic_write_bytes`: a frame that fails
+verification is treated as absent and the point simply re-simulates —
+and overwrites the bad entry with a good one.
 
 Cache policy is tier-aware, mirroring
 :func:`repro.surrogate.dispatch.accepts_cached_outcome`: a ``sim``
@@ -31,13 +31,12 @@ from __future__ import annotations
 import os
 import pickle
 import struct
-import tempfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.util.io import atomic_write_bytes, frame, unframe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.system import SimOutcome
@@ -101,44 +100,28 @@ class ResultCache:
         tier: str = "sim",
         tier_err: float = 0.0,
     ) -> Path:
-        """Store one entry atomically (temp + fsync + rename)."""
-        blob = (
-            _MAGIC
-            + _HEADER.pack(
-                zlib.crc32(payload),
-                len(payload),
-                _TIER_TO_CODE.get(tier, 1),
-                tier_err,
-            )
-            + payload
-        )
+        """Store one entry atomically and durably."""
         path = self._entry_path(namespace, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=path.parent)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        return path
+        return atomic_write_bytes(
+            path,
+            frame(
+                _MAGIC,
+                _HEADER,
+                payload,
+                _TIER_TO_CODE.get(tier, 1),
+                tier_err,
+            ),
+        )
 
     # ------------------------------------------------------------------ read
     @staticmethod
     def _decode(blob: bytes) -> CacheEntry | None:
         """Verify one frame; ``None`` on any damage (torn, flipped)."""
-        head = len(_MAGIC) + _HEADER.size
-        if len(blob) < head or not blob.startswith(_MAGIC):
+        framed = unframe(_MAGIC, _HEADER, blob)
+        if framed is None:
             return None
-        crc, length, tier_code, tier_err = _HEADER.unpack(
-            blob[len(_MAGIC):head]
-        )
-        payload = blob[head:]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            return None
+        (tier_code, tier_err), payload = framed
         tier = _CODE_TO_TIER.get(tier_code)
         if tier is None:
             return None

@@ -13,11 +13,10 @@ completed before the crash are already in the CAS (the
 exists), so a recovered sweep re-simulates only the missing tail —
 the service-level twin of ``repro run --resume``.
 
-Records use the same atomic write discipline as the checkpoint
-journal (same-directory temp file + fsync + rename + directory
-fsync) and the same defensive read: a record whose magic, length, or
-CRC32 fails verification is quarantined (renamed ``*.damaged``) and
-never replayed — a torn journal record must cost one lost job, not a
+Records are JSON in a :func:`repro.util.io.frame`, written with
+:func:`repro.util.io.atomic_write_bytes`. A record that fails
+verification is quarantined (renamed ``*.damaged``) and never
+replayed — a torn journal record must cost one lost job, not a
 crashed recovery loop.
 """
 
@@ -26,13 +25,11 @@ from __future__ import annotations
 import json
 import os
 import struct
-import tempfile
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.resilience.checkpoint import _fsync_dir
+from repro.util.io import atomic_write_bytes, frame, fsync_dir, unframe
 
 #: Bump when the record framing changes; unknown frames are damaged.
 _MAGIC = b"RJOB1\0"
@@ -129,28 +126,12 @@ class JobJournal:
         payload = json.dumps(
             rec.to_dict(), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        blob = (
-            _MAGIC
-            + _HEADER.pack(zlib.crc32(payload), len(payload))
-            + payload
-        )
-        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", dir=self.root)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
-            Path(tmp_name).unlink(missing_ok=True)
-            raise
-        _fsync_dir(self.root)
-        return path
+        return atomic_write_bytes(path, frame(_MAGIC, _HEADER, payload))
 
     def retire(self, kind: str, digest: str) -> None:
         """The job reached a terminal state: forget it."""
         self._path(kind, digest).unlink(missing_ok=True)
-        _fsync_dir(self.root)
+        fsync_dir(self.root)
 
     def mark_interrupted(self, kind: str, digest: str) -> None:
         """Shutdown abandoned this job: record that, keep the record."""
@@ -161,15 +142,11 @@ class JobJournal:
     # ------------------------------------------------------------------- read
     @staticmethod
     def _decode(blob: bytes) -> JobRecord | None:
-        head = len(_MAGIC) + _HEADER.size
-        if len(blob) < head or not blob.startswith(_MAGIC):
-            return None
-        crc, length = _HEADER.unpack(blob[len(_MAGIC):head])
-        payload = blob[head:]
-        if len(payload) != length or zlib.crc32(payload) != crc:
+        framed = unframe(_MAGIC, _HEADER, blob)
+        if framed is None:
             return None
         try:
-            data = json.loads(payload.decode("utf-8"))
+            data = json.loads(framed[1].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             return None
         if data.get("schema_version") != JOB_JOURNAL_SCHEMA_VERSION:

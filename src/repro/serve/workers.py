@@ -18,7 +18,7 @@ free shot at crashing the daemon.
 
 Workers are non-daemonic so a served sweep can fan out its own inner
 pool (``jobs > 1``), and live tracer events are forwarded across the
-process boundary (``forward_events``) so ``GET /v1/jobs/<id>?stream=1``
+process boundary so ``GET /v1/jobs/<id>?stream=1``
 streams telemetry out of the isolated child exactly as it did from a
 thread.
 
@@ -149,9 +149,9 @@ class WorkerTier:
     def submit(
         self, task: dict, job: Job
     ) -> concurrent.futures.Future:
-        return self._executor.submit(self._run_supervised, task, job)
+        return self._executor.submit(self._supervise, task, job)
 
-    def _run_supervised(self, task: dict, job: Job):
+    def _supervise(self, task: dict, job: Job):
         """Supervisor-thread body: one job, one isolated worker."""
         supervisor = Tracer()
         pool = SupervisedPool(
@@ -168,9 +168,6 @@ class WorkerTier:
             ),
             tracer=supervisor,
             isolate=True,
-            daemon=False,
-            forward_events=True,
-            in_process_fallback=False,
         )
         results = pool.map(
             [task],

@@ -23,8 +23,7 @@ from repro.check.faults import (
     WORKER_FAULT_ENV,
     inject_checkpoint_truncation,
 )
-from repro.experiments import parallel as parallel_mod
-from repro.experiments.parallel import parallel_map, parallel_simulate
+from repro.experiments.parallel import parallel_simulate
 from repro.obs.trace import Tracer
 from repro.resilience import (
     EXIT_RESUMABLE,
@@ -223,32 +222,27 @@ def test_abandoned_grid_keeps_journal(tmp_path):
 
 
 # -------------------------------------------------- pool teardown hygiene
-class _InterruptingPool:
-    """Stand-in Pool whose map dies mid-flight, recording teardown."""
+def _identity(task):
+    return task
 
-    calls: list[str] = []
 
-    def __init__(self, processes):
-        type(self).calls.append(f"init:{processes}")
+def test_supervised_pool_tears_down_on_interrupt():
+    """A Ctrl-C landing in ``on_result`` (where the journal appends)
+    mid-``map`` propagates and still reaps every worker."""
+    import multiprocessing
 
-    def map(self, fn, items):
+    before = set(p.pid for p in multiprocessing.active_children())
+
+    def interrupt(index, result):
         raise KeyboardInterrupt
 
-    def terminate(self):
-        type(self).calls.append("terminate")
-
-    def join(self):
-        type(self).calls.append("join")
-
-
-def test_parallel_map_tears_down_pool_on_interrupt(monkeypatch):
-    _InterruptingPool.calls = []
-    monkeypatch.setattr(
-        parallel_mod.multiprocessing, "Pool", _InterruptingPool
-    )
+    pool = SupervisedPool(_identity, jobs=2)
     with pytest.raises(KeyboardInterrupt):
-        parallel_map(_always_failing, ["a", "b"], jobs=2)
-    assert _InterruptingPool.calls == ["init:2", "terminate", "join"]
+        pool.map(["a", "b", "c"], on_result=interrupt)
+    leaked = [
+        p for p in multiprocessing.active_children() if p.pid not in before
+    ]
+    assert leaked == []
 
 
 def test_supervised_pool_leaves_no_children(monkeypatch):

@@ -4,6 +4,7 @@ matrix, and the CasJournal adapter the grid executors consume."""
 
 from __future__ import annotations
 
+import os
 import pickle
 from dataclasses import dataclass
 
@@ -64,6 +65,22 @@ class TestPutGet:
             p for p in cache.root.rglob(".tmp-*") if p.is_file()
         ]
         assert leftovers == []
+
+    def test_put_fsyncs_entry_directory(self, cache, monkeypatch):
+        # The rename must be durable before put returns: the job
+        # journal retires a job once its result is in the CAS.
+        synced = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_dev, st.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        path = cache.put("point", DIGEST, b"x")
+        directory = path.parent.stat()
+        assert (directory.st_dev, directory.st_ino) in synced
 
     def test_entry_count(self, cache):
         assert cache.entry_count() == 0
