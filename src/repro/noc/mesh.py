@@ -6,25 +6,66 @@ switching fraction and a ``noc{k}.coupling`` event weighted by the
 opposite-direction adjacent-bit fraction. Router traversals record
 ``noc{k}.router_pass``. These are exactly the quantities the Figure 12
 energy model prices.
+
+Routing and wiring are looked up in per-configuration tables
+(:func:`mesh_tables`), and arbitration visits only routers that hold
+flits. ``tests/reference/naive_mesh.py`` keeps the straightforward
+arbiter, which asks every router for a grant on every output each
+cycle; the property suite checks the two stay identical step by step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.arch.floorplan import Floorplan
+from repro.arch.floorplan import Floorplan, TileCoord
 from repro.arch.params import PitonConfig
 from repro.noc.flit import Flit, Packet, coupling_factor, switching_bits
 from repro.noc.router import Port, Router, is_turn
 from repro.util.events import EventLedger
 
 
-@dataclass(frozen=True)
-class _Move:
-    router: int
-    in_port: Port
-    out_port: Port
+PORTS = tuple(Port)
+
+#: ``TURN[in_port][out_port]``: the move changes dimension.
+TURN = tuple(tuple(is_turn(i, o) for o in PORTS) for i in PORTS)
+
+#: Output port -> (dx, dy, the input port it enters the neighbour by).
+_STEPS = {
+    Port.NORTH: (0, -1, Port.SOUTH),
+    Port.EAST: (1, 0, Port.WEST),
+    Port.SOUTH: (0, 1, Port.NORTH),
+    Port.WEST: (-1, 0, Port.EAST),
+}
+
+
+@lru_cache(maxsize=16)
+def mesh_tables(config: PitonConfig) -> tuple[tuple, tuple]:
+    """Routing and wiring tables of one mesh, built on first use.
+
+    Returns ``(route, neighbour)``. ``route[tile][dest]`` is the
+    dimension-ordered output a head flit at ``tile`` takes towards
+    ``dest`` (:meth:`Router.route_port`). ``neighbour[tile][out]`` is
+    the ``(tile, input port)`` that output feeds, or ``None`` for the
+    local port and the mesh edge.
+    """
+    floorplan = Floorplan(config)
+    coords = [floorplan.coord_of(t) for t in floorplan.all_tiles()]
+    route = tuple(
+        tuple(Router(t, c.x, c.y).route_port(d.x, d.y) for d in coords)
+        for t, c in enumerate(coords)
+    )
+    neighbour = []
+    for c in coords:
+        row: list[tuple[int, Port] | None] = [None] * len(PORTS)
+        for out, (dx, dy, entry) in _STEPS.items():
+            x, y = c.x + dx, c.y + dy
+            if 0 <= x < config.mesh_width and 0 <= y < config.mesh_height:
+                row[out] = (floorplan.tile_id_of(TileCoord(x, y)), entry)
+        neighbour.append(tuple(row))
+    return route, tuple(neighbour)
 
 
 class MeshNetwork:
@@ -48,6 +89,18 @@ class MeshNetwork:
         for tile in range(self.config.tile_count):
             coord = self.floorplan.coord_of(tile)
             self.routers.append(Router(tile, coord.x, coord.y))
+        self._route, self._neighbour = mesh_tables(self.config)
+        # Each router's input ports in Port order, and their queues (the
+        # deques themselves, so the per-cycle scan sees every change).
+        self._ports = tuple(
+            tuple(router.inputs[p] for p in PORTS) for router in self.routers
+        )
+        self._queues = tuple(
+            tuple(ip.queue for ip in ports) for ports in self._ports
+        )
+        self._router_pass = f"noc{network_id}.router_pass"
+        self._flit_hop = f"noc{network_id}.flit_hop"
+        self._coupling = f"noc{network_id}.coupling"
         # Link switching state: last payload per directed link, plus
         # exact per-link flit counts for traffic analysis.
         self._link_last: dict[tuple[int, int], int] = {}
@@ -77,6 +130,7 @@ class MeshNetwork:
     # ------------------------------------------------------------- injection
     def inject(self, packet: Packet, at_tile: int) -> None:
         """Queue a packet for injection at ``at_tile``'s local port."""
+        self.floorplan.coord_of(packet.dest)  # rejects tiles off the mesh
         packet.injected_at = self.now
         self._pending_packets[at_tile].append(packet)
         self._eject_packet_queue.setdefault(packet.dest, deque()).append(
@@ -129,114 +183,108 @@ class MeshNetwork:
             while queue and router.can_accept(Port.LOCAL):
                 router.enqueue(Port.LOCAL, queue.popleft())
 
-    def _arbitrate(self) -> list[_Move]:
-        moves: list[_Move] = []
-        for router in self.routers:
-            for out_port in Port:
-                in_port = self._grant(router, out_port)
-                if in_port is not None:
-                    moves.append(_Move(router.tile_id, in_port, out_port))
+    def _arbitrate(self) -> list[tuple[int, Port, Port]]:
+        """This cycle's grants, as ``(tile, in_port, out_port)`` moves.
+
+        Routers are visited in tile order and a router whose inputs are
+        all empty is skipped: it would grant nothing and change no
+        state. In a busy router each unlocked head flit's output is
+        looked up once; then, per output in ``Port`` order, a locked
+        wormhole path forwards its next flit, or the inputs requesting
+        that output run the round-robin from its ``rr_pointer``. An
+        input requests at most one output, so outputs are independent
+        within a cycle and the grants equal asking every port in turn.
+        """
+        now = self.now
+        moves: list[tuple[int, Port, Port]] = []
+        for tile, queues in enumerate(self._queues):
+            if not any(queues):
+                continue
+            ports = self._ports[tile]
+            route = self._route[tile]
+            requests: dict[Port, list[Port]] = {}
+            for in_port, ip in zip(PORTS, ports):
+                if ip.queue and ip.locked_output is None:
+                    head = ip.queue[0]
+                    if head.is_head:
+                        requests.setdefault(route[head.dest], []).append(
+                            in_port
+                        )
+            router = self.routers[tile]
+            locked_by = router.output_locked_by
+            rr_pointer = router.rr_pointer
+            for out in PORTS:
+                locked_in = locked_by[out]
+                if locked_in is not None:
+                    ip = ports[locked_in]
+                    if (
+                        ip.queue
+                        and ip.stall_until <= now
+                        and not self._downstream_full(tile, out)
+                    ):
+                        moves.append((tile, locked_in, out))
+                    continue
+                requesters = requests.get(out)
+                if requesters is None:
+                    continue
+                # Requesters are in Port order; rotate to start at the
+                # round-robin pointer.
+                first = bisect_left(requesters, rr_pointer[out])
+                for in_port in requesters[first:] + requesters[:first]:
+                    ip = ports[in_port]
+                    if ip.stall_until > now:
+                        continue
+                    if TURN[in_port][out] and ip.stall_until < now:
+                        # First grant of a turning packet burns the
+                        # turn cycle.
+                        ip.stall_until = now + 1
+                        rr_pointer[out] = int(in_port)
+                    elif not self._downstream_full(tile, out):
+                        # Lock the wormhole path.
+                        ip.locked_output = out
+                        locked_by[out] = in_port
+                        rr_pointer[out] = (in_port + 1) % len(PORTS)
+                        moves.append((tile, in_port, out))
+                    break
         return moves
 
-    def _grant(self, router: Router, out_port: Port) -> Port | None:
-        locked_in = router.output_locked_by[out_port]
-        if locked_in is not None:
-            candidate = router.inputs[locked_in]
-            if candidate.head() is None:
-                return None
-            if candidate.stall_until > self.now:
-                return None
-            if self._downstream_full(router, out_port):
-                return None
-            return locked_in
-        # Round-robin among inputs whose head flit routes to out_port.
-        ports = list(Port)
-        start = router.rr_pointer[out_port]
-        for i in range(len(ports)):
-            in_port = ports[(start + i) % len(ports)]
-            ip = router.inputs[in_port]
-            if ip.locked_output is not None:
-                continue
-            head = ip.head()
-            if head is None or not head.is_head:
-                continue
-            coord = self.floorplan.coord_of(head.dest)
-            if router.route_port(coord.x, coord.y) != out_port:
-                continue
-            if ip.stall_until > self.now:
-                continue
-            if is_turn(in_port, out_port) and ip.stall_until < self.now:
-                # First grant of a turning packet burns the turn cycle.
-                ip.stall_until = self.now + 1
-                router.rr_pointer[out_port] = (ports.index(in_port)) % len(
-                    ports
-                )
-                return None
-            if self._downstream_full(router, out_port):
-                return None
-            # Lock the wormhole path.
-            ip.locked_output = out_port
-            router.output_locked_by[out_port] = in_port
-            router.rr_pointer[out_port] = (ports.index(in_port) + 1) % len(
-                ports
-            )
-            return in_port
-        return None
-
-    def _downstream_full(self, router: Router, out_port: Port) -> bool:
-        if out_port == Port.LOCAL:
+    def _downstream_full(self, tile: int, out_port: Port) -> bool:
+        if out_port is Port.LOCAL:
             return False
-        neighbor, in_port = self._neighbor(router, out_port)
-        return not self.routers[neighbor].can_accept(in_port)
+        neighbour, in_port = self._neighbour[tile][out_port]
+        return not self.routers[neighbour].can_accept(in_port)
 
-    def _neighbor(self, router: Router, out_port: Port) -> tuple[int, Port]:
-        dx, dy, reverse = {
-            Port.EAST: (1, 0, Port.WEST),
-            Port.WEST: (-1, 0, Port.EAST),
-            Port.SOUTH: (0, 1, Port.NORTH),
-            Port.NORTH: (0, -1, Port.SOUTH),
-        }[out_port]
-        from repro.arch.floorplan import TileCoord
-
-        coord = TileCoord(router.x + dx, router.y + dy)
-        return self.floorplan.tile_id_of(coord), reverse
-
-    def _apply(self, moves: list[_Move]) -> None:
+    def _apply(self, moves: list[tuple[int, Port, Port]]) -> None:
         if moves:
             self.last_progress = self.now
-        for move in moves:
-            router = self.routers[move.router]
-            ip = router.inputs[move.in_port]
+        record = self.ledger.record
+        link_last = self._link_last
+        link_counts = self.link_counts
+        for tile, in_port, out_port in moves:
+            router = self.routers[tile]
+            ip = self._ports[tile][in_port]
             flit = ip.queue.popleft()
+            payload = flit.payload
             router.flits_routed += 1
-            self.ledger.record(
-                f"noc{self.network_id}.router_pass",
-                activity=flit.payload.bit_count() / 64.0,
-            )
+            record(self._router_pass, activity=payload.bit_count() / 64.0)
             if flit.is_tail:
                 ip.locked_output = None
-                router.output_locked_by[move.out_port] = None
-            if move.out_port == Port.LOCAL:
-                self._eject(router.tile_id, flit)
-            else:
-                neighbor, in_port = self._neighbor(router, move.out_port)
-                self._traverse_link(router.tile_id, neighbor, flit)
-                self.routers[neighbor].enqueue(in_port, flit)
-
-    def _traverse_link(self, src: int, dst: int, flit: Flit) -> None:
-        key = (src, dst)
-        prev = self._link_last.get(key, 0)
-        toggled = switching_bits(prev, flit.payload)
-        self.ledger.record(
-            f"noc{self.network_id}.flit_hop", activity=toggled / 64.0
-        )
-        self.ledger.record(
-            f"noc{self.network_id}.coupling",
-            activity=coupling_factor(prev, flit.payload),
-        )
-        self._link_last[key] = flit.payload
-        self.link_counts[key] = self.link_counts.get(key, 0) + 1
-        self.total_flit_hops += 1
+                router.output_locked_by[out_port] = None
+            if out_port is Port.LOCAL:
+                self._eject(tile, flit)
+                continue
+            neighbour, entry = self._neighbour[tile][out_port]
+            key = (tile, neighbour)
+            prev = link_last.get(key, 0)
+            record(
+                self._flit_hop,
+                activity=switching_bits(prev, payload) / 64.0,
+            )
+            record(self._coupling, activity=coupling_factor(prev, payload))
+            link_last[key] = payload
+            link_counts[key] = link_counts.get(key, 0) + 1
+            self.total_flit_hops += 1
+            self.routers[neighbour].enqueue(entry, flit)
 
     def _eject(self, tile: int, flit: Flit) -> None:
         partial = self._eject_partial.setdefault(tile, [])

@@ -34,6 +34,7 @@ pure function of its request, so attempt N is bit-identical to attempt
 from __future__ import annotations
 
 import multiprocessing
+import os
 import queue as queue_mod
 import signal
 import time
@@ -49,6 +50,9 @@ from repro.resilience.policy import RetryPolicy
 _POLL_S = 0.05
 #: Grace period between SIGTERM and SIGKILL for a hung worker.
 _TERM_GRACE_S = 0.5
+#: How long an idle worker blocks on its task queue between checks
+#: that its supervisor is still alive.
+_ORPHAN_POLL_S = 1.0
 
 
 class PointFailure(RuntimeError):
@@ -95,13 +99,23 @@ def _worker_main(
     supervisor as an ``("event", ...)`` message while the point is
     still running — this is how the serve tier streams live telemetry
     out of an isolated worker process.
+
+    A worker whose supervisor dies (a SIGKILLed ``repro serve``) is
+    re-parented and would wait for a sentinel forever; it polls its
+    queue and exits once its parent process has changed.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     from repro.check.faults import trigger_worker_fault
 
+    supervisor = os.getppid()
     while True:
-        item = task_q.get()
+        try:
+            item = task_q.get(timeout=_ORPHAN_POLL_S)
+        except queue_mod.Empty:
+            if os.getppid() != supervisor:
+                return
+            continue
         if item is None:
             return
         index, attempt, payload = item

@@ -27,7 +27,7 @@ from repro.experiments import EXPERIMENTS
 
 #: Experiments whose quick runs take multiple seconds; slow-marked so
 #: ``-m "not slow"`` keeps the fast loop snappy.
-HEAVY = ("fig12", "fig13", "fig14")
+HEAVY = ("fig13", "fig14")
 FAST = tuple(eid for eid in EXPERIMENTS if eid not in HEAVY)
 
 

@@ -261,6 +261,80 @@ def test_supervised_pool_leaves_no_children(monkeypatch):
     assert after <= before
 
 
+_ORPHAN_TASK = """
+import os, time
+
+def run(payload, emit):
+    if payload == "hold":
+        emit({"pid": os.getpid()})
+        time.sleep(30)
+    return os.getpid()
+"""
+
+_ORPHAN_SUPERVISOR = """
+import orphan_task
+from repro.resilience import SupervisedPool
+
+SupervisedPool(orphan_task.run, jobs=2, isolate=True).map(
+    ["quick", "hold"],
+    on_result=lambda i, pid: print("idle", pid, flush=True),
+    on_event=lambda i, event: print("busy", event["pid"], flush=True),
+)
+"""
+
+
+def _process_alive(pid: int) -> bool:
+    """True while ``pid`` runs (an exited, unreaped zombie is gone)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs procfs"
+)
+def test_isolated_worker_exits_when_supervisor_is_killed(tmp_path):
+    """A SIGKILLed supervisor must not orphan its idle isolated worker
+    blocked on its task queue."""
+    (tmp_path / "orphan_task.py").write_text(_ORPHAN_TASK)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), str(tmp_path)]
+    )
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SUPERVISOR],
+        env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    pids: dict[str, int] = {}
+    try:
+        while len(pids) < 2:
+            line = supervisor.stdout.readline()
+            assert line, "supervisor exited before reporting its workers"
+            role, pid = line.split()
+            pids[role] = int(pid)
+        supervisor.send_signal(signal.SIGKILL)
+        supervisor.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while _process_alive(pids["idle"]):
+            assert time.monotonic() < deadline, (
+                f"idle worker {pids['idle']} outlived its supervisor"
+            )
+            time.sleep(0.05)
+    finally:
+        if supervisor.poll() is None:
+            supervisor.kill()
+            supervisor.wait(timeout=30)
+        for pid in pids.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
 # ------------------------------------------------------------ CLI circuit
 def _repro(args, cwd, timeout=120):
     env = dict(os.environ)
