@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from repro.experiments.parallel import _simulate_stripped, parallel_simulate
-from repro.resilience import CheckpointJournal, Supervision
+from repro.resilience import PointJournal, Supervision
 from repro.silicon.variation import CHIP3
 from repro.system import PitonSystem
 from repro.workloads.microbench import hist_workload, microbench_core_ids
@@ -56,7 +56,7 @@ def test_bench_serial_journal_overhead(benchmark, tmp_path):
         list(parallel_simulate(requests, jobs=1))
 
     def journaled():
-        journal = CheckpointJournal(tmp_path / "bench", resume=False)
+        journal = PointJournal.campaign(tmp_path / "bench", resume=False)
         list(
             parallel_simulate(
                 requests,

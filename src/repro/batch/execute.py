@@ -8,11 +8,11 @@ replicates each outcome to the group's members through a
 :class:`~repro.batch.accumulate.LedgerMatrix`, yielding outcomes in
 the original grid order.
 
-The checkpoint journal composes transparently: every *member* point is
-journaled under its own ``(index, request digest)`` the moment its
-group completes, so a campaign interrupted mid-batch resumes
-identically whether the resuming run batches or not — the journal
-format never learns about batching.
+The point journal composes transparently: every *member* point is
+journaled under its own request digest the moment its group
+completes, so a campaign interrupted mid-batch resumes identically
+whether the resuming run batches or not — the journal never learns
+about batching.
 """
 
 from __future__ import annotations
@@ -96,18 +96,17 @@ def batched_simulate(
     supervision applies to the representative simulations.
 
     ``fidelity`` (the ``--tier auto``/``fast`` policy) slots in at the
-    same per-member seam the journal uses: a journaled outcome is only
-    reused when the policy's tier accepts it (no silent surrogate
-    reuse under ``--tier sim``), and members the surrogate can serve
-    within tolerance never reach the pool — they are predicted,
-    journaled, and yielded like any other completed point.
+    same per-member seam the journal uses: the journal only serves an
+    outcome the policy's tier accepts (no silent surrogate reuse under
+    ``--tier sim``), and members the surrogate can serve within
+    tolerance never reach the pool — they are predicted, journaled,
+    and yielded like any other completed point.
     """
     from repro.resilience import (
         Supervision,
         SupervisedPool,
         request_digest,
     )
-    from repro.surrogate.dispatch import accepts_cached_outcome
 
     if groups is None:
         groups = [group.indices for group in plan_batches(requests).groups]
@@ -124,19 +123,18 @@ def batched_simulate(
     #: members of a group from the journal, and the surrogate may
     #: have served others).
     todo: list[list[int]] = []
+    #: Surrogate-served indices, journaled once every lookup is done:
+    #: a grid resumes from what the store held when it started, never
+    #: from its own points.
+    predicted_indices: list[int] = []
     for group in groups:
         missing: list[int] = []
         for index in group:
             cached = (
-                journal.get(index, digests[index])
+                journal.get(digests[index], fidelity)
                 if journal is not None
                 else None
             )
-            if cached is not None and not accepts_cached_outcome(
-                cached, fidelity
-            ):
-                count("points_tier_rejected")
-                cached = None
             if cached is not None:
                 outcomes[index] = cached
                 count("points_resumed")
@@ -148,13 +146,14 @@ def batched_simulate(
             )
             if predicted is not None:
                 outcomes[index] = predicted
-                if journal is not None:
-                    journal.append(index, digests[index], predicted)
+                predicted_indices.append(index)
                 continue
             missing.append(index)
         if missing:
             todo.append(missing)
     if journal is not None:
+        for index in predicted_indices:
+            journal.append(digests[index], outcomes[index])
         journal.write_meta(
             experiment_id=supervision.experiment_id,
             points_expected=len(requests),
@@ -168,7 +167,7 @@ def batched_simulate(
         for index, replica in zip(members, replicas):
             outcomes[index] = replica
             if journal is not None:
-                journal.append(index, digests[index], replica)
+                journal.append(digests[index], replica)
 
     pool = SupervisedPool(
         _simulate_stripped,

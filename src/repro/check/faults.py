@@ -444,23 +444,26 @@ def inject_job_journal_truncation(
 def inject_checkpoint_truncation(
     journal_dir: "Path | str", drop_bytes: int = 7, seed: int = 0
 ) -> FaultReport:
-    """Truncate the newest checkpoint segment (a torn tail write).
+    """Truncate the newest checkpoint entry (a torn tail write).
 
-    Models the one corruption the journal's atomic rename cannot rule
-    out: a filesystem that lost the tail of an already-renamed segment
+    Models the one corruption the store's atomic rename cannot rule
+    out: a filesystem that lost the tail of an already-renamed entry
     (disk full, dirty shutdown before the data blocks flushed). The
-    journal's CRC framing must detect it on resume and re-simulate
-    only the damaged point.
+    frame's CRC must detect it on resume and re-simulate only the
+    damaged point.
     """
     del seed  # deterministic target; kept for the injector signature
     journal_dir = Path(journal_dir)
-    segments = sorted(journal_dir.glob("point-*.seg"))
-    if not segments:
+    entries = sorted(
+        journal_dir.rglob("*.cas"),
+        key=lambda p: (p.stat().st_mtime_ns, p.name),
+    )
+    if not entries:
         raise RuntimeError(
-            f"no checkpoint segments under {journal_dir} to truncate "
+            f"no checkpoint entries under {journal_dir} to truncate "
             "(run a journaled grid first)"
         )
-    target = segments[-1]
+    target = entries[-1]
     size = target.stat().st_size
     keep = max(0, size - drop_bytes)
     with open(target, "r+b") as fh:

@@ -307,16 +307,12 @@ def cmd_status(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown experiment(s): {unknown}", file=sys.stderr)
         return 2
-    statuses = {
-        eid: journal_status(root / eid) for eid in experiment_ids
-    }
     if args.json:
+        from repro.resilience import ResultCache
         from repro.serve.status import status_document
 
         cas_stats = None
         if Path(args.cas_dir).is_dir():
-            from repro.serve.cas import ResultCache
-
             cas_stats = ResultCache(args.cas_dir).stats()
         print(
             json.dumps(
@@ -328,7 +324,8 @@ def cmd_status(args: argparse.Namespace) -> int:
         )
         return 0
     found = 0
-    for eid, status in statuses.items():
+    for eid in experiment_ids:
+        status = journal_status(root / eid)
         if not status.exists and not args.experiments:
             continue  # only surface live checkpoints by default
         found += 1
@@ -341,7 +338,8 @@ def cmd_status(args: argparse.Namespace) -> int:
             else ""
         )
         damaged = (
-            f", {len(status.damaged)} damaged segment(s)"
+            f", {len(status.damaged)} damaged entr"
+            f"{'y' if len(status.damaged) == 1 else 'ies'}"
             if status.damaged
             else ""
         )
@@ -508,7 +506,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_cas(args: argparse.Namespace) -> int:
     """Inspect/maintain the content-addressed result store."""
-    from repro.serve.cas import ResultCache
+    from repro.resilience import ResultCache
 
     root = Path(args.cas_dir)
     if not root.is_dir():
@@ -790,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint completeness of interrupted campaigns",
         description="Inspect the checkpoint journals left by "
         "interrupted runs: how many points each campaign completed, "
-        "whether any segment is damaged, and what `run --resume` "
+        "whether any entry is damaged, and what `run --resume` "
         "would pick up.",
     )
     status.add_argument(

@@ -21,6 +21,7 @@ manifest then records only the run configuration and total wall time.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -38,6 +39,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Where ``repro run`` keeps checkpoint journals unless told otherwise.
 DEFAULT_CHECKPOINT_DIR = "results/checkpoints"
+
+
+def check_fidelity(value: object) -> float:
+    """A fidelity tolerance as a float: finite and positive, or a
+    :class:`ValueError` (``NaN`` would compare false against every
+    error bound and so admit every surrogate point)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ValueError(
+            f"fidelity tolerance must be a finite positive number, "
+            f"got {value!r}"
+        )
+    return float(value)
 
 
 def resolve_auto_jobs() -> int:
@@ -140,11 +158,7 @@ class RunContext:
                 f"tier must be one of 'sim', 'auto', 'fast', "
                 f"got {self.tier!r}"
             )
-        if self.fidelity <= 0:
-            raise ValueError(
-                f"fidelity tolerance must be positive, "
-                f"got {self.fidelity}"
-            )
+        check_fidelity(self.fidelity)
 
     @property
     def trace(self) -> Tracer:
@@ -175,7 +189,7 @@ class RunContext:
         if self.jobs <= 1 and not wants_journal:
             return None
         from repro.resilience import (
-            CheckpointJournal,
+            PointJournal,
             RetryPolicy,
             Supervision,
         )
@@ -183,8 +197,8 @@ class RunContext:
         journal = None
         if wants_journal:
             root = Path(self.checkpoint_dir or DEFAULT_CHECKPOINT_DIR)
-            journal = CheckpointJournal(
-                root / experiment_id, resume=self.resume
+            journal = PointJournal.campaign(
+                root / experiment_id, resume=self.resume, tracer=self.trace
             )
         return Supervision(
             policy=RetryPolicy(

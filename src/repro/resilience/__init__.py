@@ -14,9 +14,9 @@ the failures long campaigns actually hit:
   so a single poisoned point slows the grid down instead of killing
   it;
 * **operator interrupts** — every completed
-  :class:`~repro.system.SimOutcome` is journaled to an append-only,
-  CRC-checked checkpoint (:class:`CheckpointJournal`; one atomic
-  temp-file+rename segment per point), so SIGINT/SIGTERM
+  :class:`~repro.system.SimOutcome` is journaled to a CRC-checked
+  checkpoint (:class:`PointJournal` over a :class:`ResultCache`; one
+  atomic temp-file+rename entry per point), so SIGINT/SIGTERM
   (:func:`resumable_signals`) checkpoints, tears the pool down
   cleanly, and exits with :data:`EXIT_RESUMABLE`; ``repro run <exp>
   --resume`` then skips the already-simulated points.
@@ -28,12 +28,6 @@ of its request, so a retried point is bit-identical to a first-try
 point, and measurements always replay serially in grid order.
 """
 
-from repro.resilience.checkpoint import (
-    CheckpointJournal,
-    JournalStatus,
-    journal_status,
-    request_digest,
-)
 from repro.resilience.policy import (
     RetryPolicy,
     backoff_schedule,
@@ -45,13 +39,23 @@ from repro.resilience.signals import (
     GridInterrupted,
     resumable_signals,
 )
+from repro.resilience.store import (
+    CacheEntry,
+    JournalStatus,
+    PointJournal,
+    ResultCache,
+    journal_status,
+    request_digest,
+)
 
 __all__ = [
-    "CheckpointJournal",
+    "CacheEntry",
     "EXIT_RESUMABLE",
     "GridInterrupted",
     "JournalStatus",
     "PointFailure",
+    "PointJournal",
+    "ResultCache",
     "RetryPolicy",
     "SupervisedPool",
     "Supervision",

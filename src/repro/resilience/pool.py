@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.policy import RetryPolicy
+from repro.resilience.store import PointJournal
 
 #: How long the supervisor blocks on the result queue per loop pass.
 _POLL_S = 0.05
@@ -74,7 +74,7 @@ class Supervision:
     """Everything the fan-out layer needs to run a grid supervised."""
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    journal: CheckpointJournal | None = None
+    journal: PointJournal | None = None
     tracer: Tracer = NULL_TRACER
     experiment_id: str | None = None
 

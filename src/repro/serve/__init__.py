@@ -1,10 +1,9 @@
 """Simulation-as-a-service: the ``repro serve`` daemon and its cache.
 
-The package splits along the daemon's three concerns:
+The content-addressed result store itself is
+:mod:`repro.resilience.store`, shared with ``repro run --resume``.
+The package splits along the daemon's concerns:
 
-* :mod:`repro.serve.cas`    — the content-addressed result store and
-  the :class:`~repro.serve.cas.CasJournal` adapter that lets the
-  existing grid executors read/write it per point;
 * :mod:`repro.serve.jobs`   — job manifests and live telemetry-event
   capture for ``GET /v1/jobs/<id>``;
 * :mod:`repro.serve.http`   — the minimal stdlib HTTP/1.1 layer;
@@ -21,12 +20,6 @@ The package splits along the daemon's three concerns:
   ``repro status --json``.
 """
 
-from repro.serve.cas import (
-    DEFAULT_CAS_DIR,
-    CacheEntry,
-    CasJournal,
-    ResultCache,
-)
 from repro.serve.daemon import SimulationService
 from repro.serve.jobs import Job, JobRegistry
 from repro.serve.journal import (
@@ -39,16 +32,12 @@ from repro.serve.status import STATUS_SCHEMA_VERSION, status_document
 from repro.serve.workers import WorkerTier
 
 __all__ = [
-    "DEFAULT_CAS_DIR",
     "DEFAULT_JOBS_DIR",
-    "CacheEntry",
-    "CasJournal",
     "Job",
     "JobJournal",
     "JobRecord",
     "JobRegistry",
     "RateLimiter",
-    "ResultCache",
     "STATUS_SCHEMA_VERSION",
     "SimulationService",
     "TokenBucket",

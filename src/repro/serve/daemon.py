@@ -18,10 +18,11 @@ service with a memory:
   statistics, and service/admission counters.
 
 Completed work is memoized in the content-addressed store under
-``results/cas/`` (:mod:`repro.serve.cas`): whole response documents
-keyed by the request's canonical digest, and — for sweeps — every
-grid point individually via :class:`~repro.serve.cas.CasJournal`, so
-a new sweep that overlaps an old one only simulates the novel points.
+``results/cas/`` (:mod:`repro.resilience.store`): whole response
+documents keyed by the request's canonical digest, and — for sweeps —
+every grid point individually via a
+:class:`~repro.resilience.PointJournal`, so a new sweep that overlaps
+an old one only simulates the novel points.
 Identical in-flight requests coalesce onto one future: N concurrent
 identical POSTs trigger exactly one simulation and N byte-identical
 responses. The ``X-Repro-Cache`` response header says which path
@@ -57,9 +58,12 @@ import sys
 from pathlib import Path
 
 from repro.experiments import EXPERIMENTS, RunContext, get_spec
-from repro.experiments.context import DEFAULT_CHECKPOINT_DIR
+from repro.experiments.context import (
+    DEFAULT_CHECKPOINT_DIR,
+    check_fidelity,
+)
 from repro.resilience.signals import EXIT_RESUMABLE
-from repro.serve.cas import DEFAULT_CAS_DIR, ResultCache
+from repro.resilience.store import DEFAULT_CAS_DIR, ResultCache
 from repro.serve.http import (
     LAST_CHUNK,
     HttpRequest,
@@ -106,6 +110,32 @@ def _canonical_digest(document: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _check_tier(tier: object, where: str) -> str:
+    if tier not in ("sim", "auto", "fast"):
+        raise RequestError(
+            f"{where} 'tier' must be one of sim/auto/fast, got {tier!r}"
+        )
+    return tier
+
+
+def _check_fidelity(fidelity: object, where: str) -> float:
+    try:
+        return check_fidelity(fidelity)
+    except ValueError:
+        raise RequestError(
+            f"{where} 'fidelity' must be a finite positive number, "
+            f"got {fidelity!r}"
+        ) from None
+
+
+def _check_jobs(jobs: object, where: str) -> int:
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
+        raise RequestError(
+            f"{where} 'jobs' must be a non-negative integer, got {jobs!r}"
+        )
+    return jobs
+
+
 def _parse_run_body(data: object) -> dict:
     """Validate a ``POST /v1/run`` body, field by field."""
     from repro.silicon.variation import PERSONAS
@@ -144,33 +174,13 @@ def _parse_run_body(data: object) -> dict:
                 f"field {name!r} must be true/false",
                 got=data[name],
             )
-    tier = data.get("tier", "sim")
-    if tier not in ("sim", "auto", "fast"):
-        raise RequestError(
-            f"field 'tier' must be one of sim/auto/fast, got {tier!r}"
-        )
-    fidelity = data.get("fidelity", 0.05)
-    if (
-        isinstance(fidelity, bool)
-        or not isinstance(fidelity, (int, float))
-        or fidelity <= 0
-    ):
-        raise RequestError(
-            f"field 'fidelity' must be a positive number, "
-            f"got {fidelity!r}"
-        )
-    jobs = data.get("jobs", 1)
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0:
-        raise RequestError(
-            f"field 'jobs' must be a non-negative integer, got {jobs!r}"
-        )
     return {
         "experiment": experiment,
         "quick": bool(data.get("quick", False)),
         "persona": persona,
-        "tier": tier,
-        "fidelity": float(fidelity),
-        "jobs": jobs,
+        "tier": _check_tier(data.get("tier", "sim"), "field"),
+        "fidelity": _check_fidelity(data.get("fidelity", 0.05), "field"),
+        "jobs": _check_jobs(data.get("jobs", 1), "field"),
         "batch": bool(data.get("batch", True)),
         "checks": bool(data.get("checks", False)),
     }
@@ -404,7 +414,7 @@ class SimulationService:
         through the same admission-free execution path a fresh request
         would, so recovered work coalesces with (and is visible to)
         live traffic. Sweeps resume from their per-point CAS entries —
-        the worker's ``CasJournal`` serves completed points back, and
+        the worker's point journal serves completed points back, and
         the run counts them as ``points_resumed``.
         """
         records, damaged = self.journal.scan()
@@ -423,36 +433,7 @@ class SimulationService:
                 self._counters["jobs_recovered"] += 1
 
     async def _recover_one(self, rec: JobRecord) -> None:
-        if rec.kind == "run":
-            params = _parse_run_body(rec.request["params"])
-            digest = self.run_digest(params)
-            plan = dict(
-                kind="run",
-                namespace="run",
-                digest=digest,
-                tier=params["tier"],
-                tolerance=params["fidelity"],
-                experiment_id=params["experiment"],
-                task=self._run_task(params),
-            )
-        elif rec.kind == "sweep":
-            spec = SweepSpec.from_dict(rec.request["spec"])
-            tier = str(rec.request.get("tier", "sim"))
-            fidelity = float(rec.request.get("fidelity", 0.05))
-            jobs = int(rec.request.get("jobs", 1))
-            plan = dict(
-                kind="sweep",
-                namespace="sweep",
-                digest=self.sweep_digest(spec),
-                tier=tier,
-                tolerance=fidelity,
-                experiment_id=spec.experiment_id,
-                task=self._sweep_task(
-                    spec.to_dict(), tier, fidelity, jobs
-                ),
-            )
-        else:
-            raise ValueError(f"unknown journaled kind {rec.kind!r}")
+        plan = self._plan(rec.kind, rec.request)
         # The dying daemon may have finished the work but not retired
         # the record (killed between CAS put and retire): a completed
         # entry means the job is already recovered.
@@ -468,9 +449,7 @@ class SimulationService:
         if (plan["namespace"], plan["digest"], plan["tier"],
                 plan["tolerance"]) in self._inflight:
             return  # a live request already resubmitted it
-        body, _job, error = await self._execute_job(
-            request_doc=rec.request, **plan
-        )
+        body, _job, error = await self._execute_job(**plan)
         if body is None:
             raise RuntimeError(error or "recovery failed")
 
@@ -630,74 +609,84 @@ class SimulationService:
             # /v1/jobs/<id> still sees every event.
             self._counters["stream_detached"] += 1
 
-    # --------------------------------------------------------------- /v1/run
-    def _run_task(self, params: dict) -> dict:
-        return {
-            "kind": "run",
-            "params": dict(params),
-            "profile_dir": self.profile_dir,
-        }
+    # -------------------------------------------------------------- job plan
+    def _plan(self, kind: str, request_doc: dict) -> dict:
+        """Validate one request document and plan its job.
+
+        The one builder behind live requests and startup recovery: the
+        plan is the keyword set :meth:`_execute_job` takes, including
+        the normalized ``request_doc`` the job journal records.
+        """
+        if kind == "run":
+            params = _parse_run_body(request_doc.get("params"))
+            return dict(
+                kind="run",
+                namespace="run",
+                digest=self.run_digest(params),
+                tier=params["tier"],
+                tolerance=params["fidelity"],
+                experiment_id=params["experiment"],
+                task={
+                    "kind": "run",
+                    "params": dict(params),
+                    "profile_dir": self.profile_dir,
+                },
+                request_doc={"params": params},
+            )
+        if kind == "sweep":
+            spec = SweepSpec.from_dict(request_doc.get("spec"))
+            doc = {
+                "spec": spec.to_dict(),
+                "tier": _check_tier(
+                    request_doc.get("tier", "sim"), "query parameter"
+                ),
+                "fidelity": _check_fidelity(
+                    request_doc.get("fidelity", 0.05), "query parameter"
+                ),
+                "jobs": _check_jobs(
+                    request_doc.get("jobs", 1), "query parameter"
+                ),
+            }
+            return dict(
+                kind="sweep",
+                namespace="sweep",
+                digest=self.sweep_digest(spec),
+                tier=doc["tier"],
+                tolerance=doc["fidelity"],
+                experiment_id=spec.experiment_id,
+                task={
+                    "kind": "sweep",
+                    **doc,
+                    "cas_dir": str(self.cache.root),
+                    "profile_dir": self.profile_dir,
+                },
+                request_doc=doc,
+            )
+        raise ValueError(f"unknown job kind {kind!r}")
 
     async def _handle_run(self, request: HttpRequest) -> bytes:
-        params = _parse_run_body(request.json())
-        digest = self.run_digest(params)
         return await self._serve_cached(
-            kind="run",
-            namespace="run",
-            digest=digest,
-            tier=params["tier"],
-            tolerance=params["fidelity"],
-            experiment_id=params["experiment"],
-            task=self._run_task(params),
-            request_doc={"params": params},
             client=request.client,
+            **self._plan("run", {"params": request.json()}),
         )
 
-    # ------------------------------------------------------------- /v1/sweep
-    def _sweep_task(
-        self, spec_dict: dict, tier: str, fidelity: float, jobs: int
-    ) -> dict:
-        return {
-            "kind": "sweep",
-            "spec": spec_dict,
-            "tier": tier,
-            "fidelity": fidelity,
-            "jobs": jobs,
-            "cas_dir": str(self.cache.root),
-            "profile_dir": self.profile_dir,
-        }
-
     async def _handle_sweep(self, request: HttpRequest) -> bytes:
-        spec = SweepSpec.from_dict(request.json())
-        tier = request.query.get("tier", "sim")
-        if tier not in ("sim", "auto", "fast"):
-            raise RequestError(
-                f"query parameter 'tier' must be sim/auto/fast, "
-                f"got {tier!r}"
-            )
+        query = request.query
         try:
-            fidelity = float(request.query.get("fidelity", "0.05"))
-            jobs = int(request.query.get("jobs", "1"))
+            fidelity = float(query.get("fidelity", "0.05"))
+            jobs = int(query.get("jobs", "1"))
         except ValueError as exc:
             raise RequestError(
                 f"malformed query parameter: {exc}"
             ) from exc
-        digest = self.sweep_digest(spec)
+        request_doc = {
+            "spec": request.json(),
+            "tier": query.get("tier", "sim"),
+            "fidelity": fidelity,
+            "jobs": jobs,
+        }
         return await self._serve_cached(
-            kind="sweep",
-            namespace="sweep",
-            digest=digest,
-            tier=tier,
-            tolerance=fidelity,
-            experiment_id=spec.experiment_id,
-            task=self._sweep_task(spec.to_dict(), tier, fidelity, jobs),
-            request_doc={
-                "spec": spec.to_dict(),
-                "tier": tier,
-                "fidelity": fidelity,
-                "jobs": jobs,
-            },
-            client=request.client,
+            client=request.client, **self._plan("sweep", request_doc)
         )
 
     # ------------------------------------------------- cache + coalescing

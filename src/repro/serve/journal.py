@@ -8,9 +8,9 @@ content-addressed store. A daemon that dies — ``SIGKILL``, power
 loss, a drain that timed out — therefore leaves behind exactly the
 set of jobs whose results it still owed, and the next daemon replays
 them on startup through the normal execution path. Sweep points that
-completed before the crash are already in the CAS (the
-:class:`~repro.serve.cas.CasJournal` appends each point the moment it
-exists), so a recovered sweep re-simulates only the missing tail —
+completed before the crash are already in the CAS (the worker's
+:class:`~repro.resilience.PointJournal` appends each point the moment
+it exists), so a recovered sweep re-simulates only the missing tail —
 the service-level twin of ``repro run --resume``.
 
 Records are JSON in a :func:`repro.util.io.frame`, written with

@@ -31,7 +31,7 @@ def status_document(
     ``experiment_ids=None`` covers every registered experiment;
     ``jobs`` is the daemon's job-manifest dicts (the CLI, having no
     daemon, reports an empty list); ``cas`` is
-    :meth:`~repro.serve.cas.ResultCache.stats` output (the CLI builds
+    :meth:`~repro.resilience.ResultCache.stats` output (the CLI builds
     it from disk, the daemon from its live handle — identical shape
     either way); ``service`` is the daemon's admission/drain section,
     ``None`` from the CLI.

@@ -23,7 +23,7 @@ streams telemetry out of the isolated child exactly as it did from a
 thread.
 
 The task function :func:`_service_task_main` is module-level (it must
-pickle) and rebuilds everything it needs — tracer, CAS handle,
+pickle) and rebuilds everything it needs — tracer, point journal,
 profiles — from the plain-dict task, because nothing rich survives
 the process boundary.
 """
@@ -50,7 +50,6 @@ def _service_task_main(task: dict, emit: Callable[[dict], None]):
     """
     from repro.check.faults import trigger_serve_task_delay
     from repro.experiments import RunContext, get_spec
-    from repro.serve.cas import CasJournal, ResultCache
     from repro.silicon.variation import PERSONAS
     from repro.sweepspec import (
         SweepSpec,
@@ -95,21 +94,25 @@ def _service_task_main(task: dict, emit: Callable[[dict], None]):
         fidelity=fidelity,
         profile_dir=task.get("profile_dir"),
     )
-    from repro.resilience import Supervision
+    from repro.resilience import PointJournal, ResultCache, Supervision
 
     supervision = Supervision(
         policy=RetryPolicy(retries=2),
-        journal=CasJournal(
-            ResultCache(task["cas_dir"]),
-            tier=tier,
-            tolerance=fidelity,
-            tracer=tracer,
+        journal=PointJournal(
+            ResultCache(task["cas_dir"]), manifest=False, tracer=tracer
         ),
         tracer=tracer,
         experiment_id=spec.experiment_id,
     )
     start = time.perf_counter()
     result = run_sweepspec(spec, ctx, supervision=supervision)
+    # Every grid point is looked up in the store exactly once, so its
+    # hits are the resumed points and its misses are all the others.
+    hits = tracer.resilience.get("points_resumed", 0)
+    if hits:
+        tracer.count("cas_hits", hits)
+    if spec.n_points > hits:
+        tracer.count("cas_misses", spec.n_points - hits)
     doc = sweep_document(
         spec,
         result,

@@ -28,11 +28,7 @@ from repro.surrogate.calibrate import (
     default_anchor_freqs,
     outcome_metrics,
 )
-from repro.surrogate.dispatch import (
-    TIERS,
-    FidelityPolicy,
-    accepts_cached_outcome,
-)
+from repro.surrogate.dispatch import TIERS, FidelityPolicy
 from repro.surrogate.model import SurrogateModel, profile_key
 from repro.surrogate.profile import (
     GATE_METRICS,
@@ -58,7 +54,6 @@ __all__ = [
     "SurrogateModel",
     "TIERS",
     "WorkloadProfile",
-    "accepts_cached_outcome",
     "calibrate_named",
     "calibrate_request",
     "default_anchor_freqs",

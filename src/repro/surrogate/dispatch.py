@@ -9,9 +9,9 @@ A :class:`FidelityPolicy` is what the grid executors
   tolerance — otherwise ``None``, and the point falls back to the
   cycle-level simulator. Novel workloads (no profile), out-of-envelope
   clocks, and requests running invariant checks always fall back.
-* ``accepts_cached(outcome)`` arbitrates checkpoint-journal reuse
-  across tiers: cycle-level points are reusable under any tier, but a
-  surrogate point is only reusable when the active policy would have
+* its ``tier`` and ``tolerance`` are what the point journal
+  (:class:`~repro.resilience.PointJournal`) gates stored points on:
+  a surrogate point is only reused when the active policy would have
   served it — a ``--tier sim`` resume of an ``auto`` journal
   re-simulates every fast point rather than silently keeping it.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.experiments.context import check_fidelity
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.surrogate.model import SurrogateModel, profile_key
 from repro.surrogate.store import ProfileStore
@@ -59,8 +60,7 @@ class FidelityPolicy:
                 f"FidelityPolicy tier must be 'auto' or 'fast', "
                 f"got {self.tier!r} (tier 'sim' means no policy)"
             )
-        if self.tolerance <= 0:
-            raise ValueError("fidelity tolerance must be positive")
+        check_fidelity(self.tolerance)
 
     # -------------------------------------------------------------- dispatch
     def model_for(self, request: "SimRequest") -> SurrogateModel | None:
@@ -89,27 +89,3 @@ class FidelityPolicy:
         self.tracer.count("surrogate_hits")
         self.tracer.gauge_max("surrogate_max_err", outcome.tier_err)
         return outcome
-
-    # ---------------------------------------------------------------- resume
-    def accepts_cached(self, outcome: "SimOutcome") -> bool:
-        """Whether a journaled outcome satisfies this policy's tier."""
-        if getattr(outcome, "tier", "sim") != "fast":
-            return True  # cycle-level points satisfy every tier
-        if self.tier == "fast":
-            return True
-        return getattr(outcome, "tier_err", 0.0) <= self.tolerance
-
-
-def accepts_cached_outcome(
-    outcome: "SimOutcome", fidelity: FidelityPolicy | None
-) -> bool:
-    """Tier-aware journal acceptance for the grid executors.
-
-    With no policy (``--tier sim``), only cycle-level points are
-    reusable: resuming an ``auto`` journal at full fidelity
-    re-simulates every surrogate-served point instead of silently
-    keeping it.
-    """
-    if getattr(outcome, "tier", "sim") != "fast":
-        return True
-    return fidelity is not None and fidelity.accepts_cached(outcome)

@@ -1,7 +1,7 @@
 """Durable, self-verifying files: the one writer and the one frame.
 
 Every file the tooling persists — result artifacts, goldens, reports,
-checkpoint metadata, and the records of all three binary stores — goes
+checkpoint metadata, and the records of both binary stores — goes
 through :func:`atomic_write_bytes`: same-directory ``.tmp-*`` file,
 fsync, ``os.replace``, directory fsync. An interrupt at any instant
 leaves the complete old file or the complete new one, and a finished

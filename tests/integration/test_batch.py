@@ -15,7 +15,7 @@ from repro.experiments import RunContext, fig11_epi
 from repro.experiments.parallel import parallel_simulate
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.obs.trace import Tracer
-from repro.resilience import CheckpointJournal, Supervision
+from repro.resilience import PointJournal, Supervision
 from repro.silicon.variation import CHIP1, CHIP2, CHIP3
 from repro.system import PitonSystem
 from repro.workloads.microbench import int_tile
@@ -86,7 +86,7 @@ def _interrupted_run(requests, journal_dir, batch):
     measurement replay and leaves the journal on disk for resume.
     """
     supervision = Supervision(
-        journal=CheckpointJournal(journal_dir, resume=False),
+        journal=PointJournal.campaign(journal_dir, resume=False),
         experiment_id="batch-it",
     )
     outcomes = parallel_simulate(
@@ -103,7 +103,7 @@ def test_journal_written_serial_resumes_batched(tmp_path):
 
     tracer = Tracer()
     second = Supervision(
-        journal=CheckpointJournal(tmp_path / "j", resume=True),
+        journal=PointJournal.campaign(tmp_path / "j", resume=True),
         tracer=tracer,
         experiment_id="batch-it",
     )
@@ -123,7 +123,7 @@ def test_journal_written_batched_resumes_serial(tmp_path):
 
     tracer = Tracer()
     second = Supervision(
-        journal=CheckpointJournal(tmp_path / "j", resume=True),
+        journal=PointJournal.campaign(tmp_path / "j", resume=True),
         tracer=tracer,
         experiment_id="batch-it",
     )

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import signal
+import struct
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -27,7 +30,7 @@ from repro.experiments.parallel import parallel_simulate
 from repro.obs.trace import Tracer
 from repro.resilience import (
     EXIT_RESUMABLE,
-    CheckpointJournal,
+    PointJournal,
     PointFailure,
     RetryPolicy,
     SupervisedPool,
@@ -128,14 +131,14 @@ def test_resume_skips_journaled_points(tmp_path):
     # Fake an interrupted campaign: the first 2 of 4 points journaled,
     # exactly as an on_result append would have left them.
     serial_outcomes = list(parallel_simulate(_grid_requests(), jobs=1))
-    journal = CheckpointJournal(tmp_path / "grid")
+    journal = PointJournal.campaign(tmp_path / "grid")
     for index in range(2):
         journal.append(
-            index, request_digest(requests[index]), serial_outcomes[index]
+            request_digest(requests[index]), serial_outcomes[index]
         )
 
     tracer = Tracer()
-    resumed_journal = CheckpointJournal(tmp_path / "grid", resume=True)
+    resumed_journal = PointJournal.campaign(tmp_path / "grid", resume=True)
     resumed = _ledgers(
         parallel_simulate(
             _grid_requests(),
@@ -155,9 +158,9 @@ def test_resume_skips_journaled_points(tmp_path):
 def test_stale_grid_journal_never_leaks(tmp_path):
     requests = _grid_requests()
     outcomes = list(parallel_simulate(_grid_requests(), jobs=1))
-    journal = CheckpointJournal(tmp_path / "grid")
+    journal = PointJournal.campaign(tmp_path / "grid")
     # Journal point 0 under the *wrong* digest (a different campaign).
-    journal.append(0, request_digest("another grid"), outcomes[-1])
+    journal.append(request_digest("another grid"), outcomes[-1])
 
     tracer = Tracer()
     resumed = _ledgers(
@@ -165,7 +168,7 @@ def test_stale_grid_journal_never_leaks(tmp_path):
             requests,
             jobs=1,
             supervision=Supervision(
-                journal=CheckpointJournal(tmp_path / "grid", resume=True),
+                journal=PointJournal.campaign(tmp_path / "grid", resume=True),
                 tracer=tracer,
             ),
         )
@@ -181,11 +184,11 @@ def test_truncated_tail_resimulates_only_damaged_point(tmp_path):
 
     # Journal the full grid, as a run interrupted during its final
     # measurement replay would have (all simulated, none delivered).
-    journal = CheckpointJournal(tmp_path / "grid")
+    journal = PointJournal.campaign(tmp_path / "grid")
     for index, outcome in enumerate(
         parallel_simulate(_grid_requests(), jobs=1)
     ):
-        journal.append(index, request_digest(requests[index]), outcome)
+        journal.append(request_digest(requests[index]), outcome)
 
     inject_checkpoint_truncation(tmp_path / "grid", drop_bytes=9)
 
@@ -195,7 +198,7 @@ def test_truncated_tail_resimulates_only_damaged_point(tmp_path):
             requests,
             jobs=1,
             supervision=Supervision(
-                journal=CheckpointJournal(tmp_path / "grid", resume=True),
+                journal=PointJournal.campaign(tmp_path / "grid", resume=True),
                 tracer=tracer,
             ),
         )
@@ -207,7 +210,7 @@ def test_truncated_tail_resimulates_only_damaged_point(tmp_path):
 
 def test_abandoned_grid_keeps_journal(tmp_path):
     requests = _grid_requests()
-    journal = CheckpointJournal(tmp_path / "grid")
+    journal = PointJournal.campaign(tmp_path / "grid")
     outcomes = parallel_simulate(
         requests,
         jobs=1,
@@ -216,9 +219,53 @@ def test_abandoned_grid_keeps_journal(tmp_path):
     next(outcomes)
     outcomes.close()  # a consumer unwinding mid-measurement
     assert (tmp_path / "grid").exists()
-    assert len(list((tmp_path / "grid").glob("point-*.seg"))) == len(
+    assert len(list((tmp_path / "grid").rglob("*.cas"))) == len(
         requests
     )
+
+
+def test_parent_layout_campaign_resumes_bit_identical(tmp_path):
+    """A campaign left in the older per-index ``RJRN1`` segment layout
+    reads as all-miss: resumed, it re-simulates every point and still
+    matches a clean run exactly, then retires the old files too."""
+    requests = _grid_requests()
+    clean = _ledgers(parallel_simulate(requests, jobs=1))
+    grid = tmp_path / "grid"
+    grid.mkdir()
+    for index, outcome in enumerate(
+        parallel_simulate(_grid_requests(), jobs=1)
+    ):
+        payload = pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
+        header = struct.pack(
+            ">IQ32s",
+            zlib.crc32(payload),
+            len(payload),
+            request_digest(requests[index]),
+        )
+        (grid / f"point-{index:06d}.seg").write_bytes(
+            b"RJRN1\0" + header + payload
+        )
+    (grid / "meta.json").write_text(
+        json.dumps({"schema_version": 1, "points_expected": 4})
+    )
+
+    tracer = Tracer()
+    resumed = _ledgers(
+        parallel_simulate(
+            requests,
+            jobs=1,
+            supervision=Supervision(
+                journal=PointJournal.campaign(
+                    grid, resume=True, tracer=tracer
+                ),
+                tracer=tracer,
+            ),
+        )
+    )
+    assert resumed == clean
+    assert "points_resumed" not in tracer.resilience
+    assert tracer.resilience["points_simulated"] == len(requests)
+    assert not grid.exists()
 
 
 # -------------------------------------------------- pool teardown hygiene
@@ -377,7 +424,7 @@ def test_cli_sigint_then_resume_bit_identical(tmp_path):
         pytest.skip("run finished before SIGINT landed")
     assert code == EXIT_RESUMABLE, proc.stdout.read()
     ckpt = tmp_path / "results" / "checkpoints" / "fig11"
-    assert ckpt.is_dir() and list(ckpt.glob("point-*.seg"))
+    assert ckpt.is_dir() and list(ckpt.rglob("*.cas"))
 
     resumed_proc = _repro(
         run + ["--out", "resumed.json", "--resume"], cwd=tmp_path

@@ -57,6 +57,11 @@ def _request(service, method, path, body=None):
         conn.close()
 
 
+def _service_counter(service, name):
+    _, _, body = _request(service, "GET", "/v1/status")
+    return json.loads(body)["service"][name]
+
+
 def _strip_manifest(body: bytes) -> dict:
     doc = json.loads(body)
     doc.pop("manifest", None)
@@ -182,6 +187,21 @@ class TestRunEndpoint:
         assert h2["X-Repro-Cache"] == "hit"
         assert b1 == b2
 
+    @pytest.mark.parametrize(
+        "fidelity", [float("nan"), float("inf"), 0.0, -0.1, True]
+    )
+    def test_bad_fidelity_400_before_admission(self, service, fidelity):
+        accepted = _service_counter(service, "accepted")
+        status, _, body = _request(
+            service,
+            "POST",
+            "/v1/run",
+            {"experiment": "fig8", "tier": "auto", "fidelity": fidelity},
+        )
+        assert status == 400
+        assert "fidelity" in json.loads(body)["error"]["message"]
+        assert _service_counter(service, "accepted") == accepted
+
     def test_unknown_experiment_400_names_known(self, service):
         status, _, body = _request(
             service, "POST", "/v1/run", {"experiment": "fig99"}
@@ -262,6 +282,26 @@ class TestSweepEndpoint:
         )
         assert status == 400
         assert "tier" in json.loads(body)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "jobs=-1",
+            "fidelity=0",
+            "fidelity=nan",
+            "fidelity=inf",
+            "tier=auto&fidelity=NaN",
+        ],
+    )
+    def test_bad_numeric_query_400_before_admission(self, service, query):
+        accepted = _service_counter(service, "accepted")
+        status, _, body = _request(
+            service, "POST", f"/v1/sweep?{query}", SPEC_DOC
+        )
+        assert status == 400
+        name = query.split("&")[-1].split("=")[0]
+        assert name in json.loads(body)["error"]["message"]
+        assert _service_counter(service, "accepted") == accepted
 
 
 # ------------------------------------------------------------------ job API

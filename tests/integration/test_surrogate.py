@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -29,7 +30,7 @@ import pytest
 from repro.experiments.parallel import parallel_simulate
 from repro.experiments.sweep import SweepPoint, sweep
 from repro.obs.trace import Tracer
-from repro.resilience import CheckpointJournal, RetryPolicy, Supervision
+from repro.resilience import PointJournal, RetryPolicy, Supervision
 from repro.silicon.variation import CHIP2
 from repro.surrogate import (
     FidelityPolicy,
@@ -152,7 +153,9 @@ class TestCrossTierResume:
         requests = mem_requests()
         supervision = Supervision(
             policy=RetryPolicy(retries=0),
-            journal=CheckpointJournal(ckpt_dir, resume=resume),
+            journal=PointJournal.campaign(
+                ckpt_dir, resume=resume, tracer=tracer
+            ),
             tracer=tracer,
             experiment_id="surrtest",
         )
@@ -203,6 +206,29 @@ class TestCrossTierResume:
         for got, want in zip(resumed, reference):
             assert got.result == want.result
             assert dict(got.ledger.counts) == dict(want.ledger.counts)
+
+    def test_sim_resume_unpickles_no_rejected_point(
+        self, calibrated_store, tmp_path, monkeypatch
+    ):
+        store, reports = calibrated_store
+        ckpt = tmp_path / "ckpt-auto"
+        policy = FidelityPolicy(
+            store=store, tolerance=reports["mem_l2"].error_bound + 0.01
+        )
+        self.run_journaled(
+            ckpt, fidelity=policy, resume=False, tracer=Tracer()
+        )
+        loads = []
+        real_loads = pickle.loads
+        monkeypatch.setattr(
+            pickle, "loads", lambda b: loads.append(b) or real_loads(b)
+        )
+        tracer = Tracer()
+        self.run_journaled(ckpt, fidelity=None, resume=True, tracer=tracer)
+        # Every stored point was surrogate-served, so the frame header
+        # alone rejected each one: not a single payload was unpickled.
+        assert tracer.resilience["points_tier_rejected"] == len(FREQS)
+        assert loads == []
 
     def test_auto_resume_reuses_sim_points(
         self, calibrated_store, tmp_path

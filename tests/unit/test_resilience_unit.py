@@ -1,14 +1,20 @@
-"""Unit coverage for the resilience layer: policies, the checkpoint
-journal's framing and corruption handling, atomic writes, signal
-plumbing, and the worker fault injectors."""
+"""Unit coverage for the resilience layer: policies, the point
+journal's framing, tier gate and corruption handling, atomic writes,
+signal plumbing, and the worker fault injectors."""
 
 from __future__ import annotations
 
+import json
 import os
+import pickle
 import signal
 import struct
+import subprocess
+import sys
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +28,12 @@ from repro.check.faults import (
     inject_checkpoint_truncation,
 )
 from repro.experiments.context import RunContext, resolve_auto_jobs
+from repro.obs import Tracer
 from repro.resilience import (
     EXIT_RESUMABLE,
-    CheckpointJournal,
     GridInterrupted,
+    PointJournal,
+    ResultCache,
     RetryPolicy,
     backoff_schedule,
     derive_deadline,
@@ -33,7 +41,6 @@ from repro.resilience import (
     request_digest,
     resumable_signals,
 )
-from repro.serve.cas import ResultCache
 from repro.serve.journal import JobJournal
 from repro.util.io import atomic_write_bytes, atomic_write_text
 
@@ -83,91 +90,108 @@ def outcome_payload():
     return {"ledger": {"alu": 42}, "cycles": 1234}
 
 
+@dataclass
+class _Outcome:
+    """Picklable outcome stand-in carrying a fidelity tier."""
+
+    value: int = 0
+    tier: str = "sim"
+    tier_err: float = 0.0
+
+
+def _entries(path):
+    return sorted(Path(path).rglob("*.cas"))
+
+
 def test_journal_roundtrip(tmp_path, outcome_payload):
-    journal = CheckpointJournal(tmp_path / "j")
+    journal = PointJournal.campaign(tmp_path / "j")
     digest = request_digest(("req", 0))
-    journal.append(3, digest, outcome_payload)
-    assert 3 in journal and len(journal) == 1
-    assert journal.get(3, digest) == outcome_payload
+    journal.append(digest, outcome_payload)
+    assert journal.get(digest) == outcome_payload
+    assert len(_entries(tmp_path / "j")) == 1
 
 
 def test_journal_digest_mismatch_is_a_miss(tmp_path, outcome_payload):
-    journal = CheckpointJournal(tmp_path / "j")
-    journal.append(0, request_digest("grid A"), outcome_payload)
-    reopened = CheckpointJournal(tmp_path / "j", resume=True)
-    # Same index from a different grid shape must never be served.
-    assert reopened.get(0, request_digest("grid B")) is None
-    assert reopened.get(0, request_digest("grid A")) == outcome_payload
+    journal = PointJournal.campaign(tmp_path / "j")
+    journal.append(request_digest("grid A"), outcome_payload)
+    reopened = PointJournal.campaign(tmp_path / "j", resume=True)
+    # A point from a different grid shape must never be served.
+    assert reopened.get(request_digest("grid B")) is None
+    assert reopened.get(request_digest("grid A")) == outcome_payload
 
 
 def test_journal_fresh_open_resets(tmp_path, outcome_payload):
     path = tmp_path / "j"
-    CheckpointJournal(path).append(
-        0, request_digest("x"), outcome_payload
-    )
-    fresh = CheckpointJournal(path, resume=False)
-    assert len(fresh) == 0
-    assert not list(path.glob("point-*.seg"))
+    digest = request_digest("x")
+    PointJournal.campaign(path).append(digest, outcome_payload)
+    fresh = PointJournal.campaign(path, resume=False)
+    assert fresh.get(digest) is None
+    assert not _entries(path)
 
 
 def test_journal_detects_truncated_segment(tmp_path, outcome_payload):
     path = tmp_path / "j"
-    journal = CheckpointJournal(path)
+    journal = PointJournal.campaign(path)
     digests = [request_digest(("req", i)) for i in range(3)]
-    for i, digest in enumerate(digests):
-        journal.append(i, digest, outcome_payload)
+    for digest in digests:
+        journal.append(digest, outcome_payload)
 
     report = inject_checkpoint_truncation(path, drop_bytes=5)
-    assert "point-000002.seg" in report.detail
+    torn = [d for d in digests if d.hex() in report.detail]
+    assert len(torn) == 1
 
-    resumed = CheckpointJournal(path, resume=True)
-    # Only the damaged tail is absent; intact points still serve.
-    assert resumed.damaged == ["point-000002.seg"]
-    assert resumed.get(0, digests[0]) == outcome_payload
-    assert resumed.get(1, digests[1]) == outcome_payload
-    assert resumed.get(2, digests[2]) is None
+    resumed = PointJournal.campaign(path, resume=True)
+    # Only the damaged entry is absent; intact points still serve.
+    for digest in digests:
+        expected = None if digest in torn else outcome_payload
+        assert resumed.get(digest) == expected
+    assert journal_status(path).damaged == [f"{torn[0].hex()}.cas"]
 
 
 def test_journal_detects_corruption_after_scan(tmp_path, outcome_payload):
     path = tmp_path / "j"
-    journal = CheckpointJournal(path)
+    journal = PointJournal.campaign(path)
     digest = request_digest("req")
-    seg = journal.append(0, digest, outcome_payload)
-    blob = bytearray(seg.read_bytes())
+    entry = journal.append(digest, outcome_payload)
+    blob = bytearray(entry.read_bytes())
     blob[-1] ^= 0xFF  # flip a payload bit under the CRC
-    seg.write_bytes(bytes(blob))
-    assert journal.get(0, digest) is None  # CRC re-check on read
-    assert journal.damaged == ["point-000000.seg"]
+    entry.write_bytes(bytes(blob))
+    assert journal.get(digest) is None  # CRC checked on every read
+    status = journal_status(path)
+    assert status.damaged == [entry.name]
+    assert status.points == 0
 
 
 def test_journal_get_unpickles_only_verified_bytes(
     tmp_path, outcome_payload, monkeypatch
 ):
-    journal = CheckpointJournal(tmp_path / "j")
+    journal = PointJournal.campaign(tmp_path / "j")
     digest = request_digest("req")
-    seg = journal.append(0, digest, outcome_payload)
-    good = seg.read_bytes()
+    entry = journal.append(digest, outcome_payload)
+    good = entry.read_bytes()
     torn = good[:-5]
-    # The segment is swapped for a torn one right after its first read.
+    # The entry is swapped for a torn one right after its first read.
     reads = iter([good])
     real_read_bytes = Path.read_bytes
 
     def swapping_read_bytes(self):
-        if self == seg:
+        if self == entry:
             return next(reads, torn)
         return real_read_bytes(self)
 
     monkeypatch.setattr(Path, "read_bytes", swapping_read_bytes)
-    assert journal.get(0, digest) == outcome_payload  # the verified read
-    assert journal.get(0, digest) is None  # torn from now on: a miss
-    assert journal.damaged == ["point-000000.seg"]
+    assert journal.get(digest) == outcome_payload  # the verified read
+    assert journal.get(digest) is None  # torn from now on: a miss
 
 
 def test_journal_complete_removes_directory(tmp_path, outcome_payload):
     path = tmp_path / "j"
-    journal = CheckpointJournal(path)
+    journal = PointJournal.campaign(path)
     journal.write_meta(experiment_id="fig13", points_expected=2)
-    journal.append(0, request_digest("a"), outcome_payload)
+    journal.append(request_digest("a"), outcome_payload)
+    # Leftovers of the older per-index layout and of a killed writer.
+    (path / "point-000000.seg").write_bytes(b"RJRN1\0 legacy")
+    (path / ".tmp-stale").write_bytes(b"half an entry")
     journal.complete()
     assert not path.exists()
 
@@ -175,25 +199,103 @@ def test_journal_complete_removes_directory(tmp_path, outcome_payload):
 def test_journal_sweeps_stale_temp_files(tmp_path):
     path = tmp_path / "j"
     path.mkdir()
-    (path / ".tmp-stale").write_bytes(b"half a segment")
-    CheckpointJournal(path, resume=True)
+    (path / ".tmp-stale").write_bytes(b"half an entry")
+    PointJournal.campaign(path, resume=False)
     assert not (path / ".tmp-stale").exists()
+
+
+def test_journal_tier_gate_reads_header_before_unpickling(
+    tmp_path, monkeypatch
+):
+    tracer = Tracer()
+    journal = PointJournal.campaign(tmp_path / "j", tracer=tracer)
+    fast = request_digest("fast point")
+    journal.append(fast, _Outcome(1, tier="fast", tier_err=0.1))
+    loads = []
+    real_loads = pickle.loads
+    monkeypatch.setattr(
+        pickle, "loads", lambda b: loads.append(b) or real_loads(b)
+    )
+    auto = SimpleNamespace(tier="auto", tolerance=0.05)
+    assert journal.get(fast) is None  # cycle-level requested
+    assert journal.get(fast, auto) is None  # bound above tolerance
+    assert tracer.resilience == {"points_tier_rejected": 2}
+    assert loads == []  # rejected on the frame header alone
+    loose = SimpleNamespace(tier="auto", tolerance=0.2)
+    assert journal.get(fast, loose) == _Outcome(
+        1, tier="fast", tier_err=0.1
+    )
+    assert len(loads) == 1
+    # An absent point is a plain miss, not a rejection.
+    assert journal.get(request_digest("absent")) is None
+    assert tracer.resilience == {"points_tier_rejected": 2}
 
 
 def test_journal_status_reports_counts(tmp_path, outcome_payload):
     path = tmp_path / "j"
-    journal = CheckpointJournal(path)
+    journal = PointJournal.campaign(path)
     journal.write_meta(experiment_id="fig13", points_expected=5)
     for i in range(2):
-        journal.append(i, request_digest(i), outcome_payload)
+        journal.append(request_digest(i), outcome_payload)
     status = journal_status(path)
     assert status.exists
     assert status.experiment_id == "fig13"
     assert (status.points, status.points_expected) == (2, 5)
     assert status.complete is False
     assert status.bytes > 0
+    assert status.damaged == []
     missing = journal_status(tmp_path / "nope")
     assert not missing.exists and missing.points == 0
+
+
+def test_status_json_reads_each_entry_once(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+    from repro.resilience import store
+
+    journal = PointJournal.campaign(tmp_path / "ckpt" / "fig13")
+    journal.write_meta(experiment_id="fig13", points_expected=4)
+    for i in range(3):
+        journal.append(request_digest(i), {"point": i})
+    inject_checkpoint_truncation(tmp_path / "ckpt" / "fig13")
+    reads = []
+    real_read_entry = store._read_entry
+    monkeypatch.setattr(
+        store,
+        "_read_entry",
+        lambda path: reads.append(path) or real_read_entry(path),
+    )
+    assert main([
+        "status", "--json",
+        "--checkpoint-dir", str(tmp_path / "ckpt"),
+        "--cas-dir", str(tmp_path / "no-cas"),
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    fig13 = doc["experiments"]["fig13"]
+    assert (fig13["points"], fig13["points_expected"]) == (2, 4)
+    assert len(fig13["damaged"]) == 1
+    assert len(reads) == 3  # one verified read per entry, not two
+
+
+def test_checkpointed_run_never_loads_the_daemon(tmp_path):
+    code = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "main(['run', 'fig11', '--quick', '--checkpoint-dir', 'ckpt'])\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'asyncio' or m.startswith('repro.serve')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[2] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert not (tmp_path / "ckpt" / "fig11").exists()
 
 
 def test_request_digest_stable_and_discriminating():
@@ -208,22 +310,10 @@ def test_request_digest_stable_and_discriminating():
 
 
 # ------------------------------------------------------------ frame codec
-# The three binary stores as ``(magic, header format, trailing fields,
+# The two binary stores as ``(magic, header format, trailing fields,
 # write, read)``; ``write(data)``/``read()`` go through the store's own
 # API at its own on-disk path, so these cases pin the files, not just
 # the codec.
-def _checkpoint_store(root):
-    digest = request_digest("req")
-
-    def write(data):
-        return CheckpointJournal(root).append(0, digest, data)
-
-    def read():
-        return CheckpointJournal(root, resume=True).get(0, digest)
-
-    return b"RJRN1\0", ">IQ32s", (digest,), write, read
-
-
 def _job_store(root):
     def write(data):
         request = {"data": data.hex()}
@@ -247,7 +337,7 @@ def _cas_store(root):
     return b"RCAS1\0", ">IQBd", (1, 0.03), write, read
 
 
-_STORES = [_checkpoint_store, _job_store, _cas_store]
+_STORES = [_job_store, _cas_store]
 
 
 def _parent_layout(magic, fmt, fields, payload):
@@ -293,14 +383,9 @@ def test_damaged_frames_read_as_absent(
         del blob[int(damage[1] * len(blob)):]
     elif kind == "flip":
         # Everything but the trailing fields is under the magic, length
-        # or CRC check; a flipped request digest is a digest mismatch.
-        # The CAS tier fields sit outside the CRC in the original
-        # layout, so they are not flipped here.
-        positions = [
-            i
-            for i in range(len(blob))
-            if i not in trailer or store is _checkpoint_store
-        ]
+        # or CRC check. The CAS tier fields sit outside the CRC in the
+        # original layout, so they are not flipped here.
+        positions = [i for i in range(len(blob)) if i not in trailer]
         blob[positions[int(damage[1] * len(positions))]] ^= 1 << damage[2]
     else:
         wrong = damage[1][: len(magic)]
@@ -370,18 +455,22 @@ def test_run_context_supervision_wires_policy_and_journal(tmp_path):
     assert sup.policy.retries == 5
     assert sup.policy.deadline_s == 9.0
     assert sup.journal is not None
-    assert sup.journal.path == tmp_path / "ckpt" / "fig13"
+    assert sup.journal.cache.root == tmp_path / "ckpt" / "fig13"
+    assert sup.journal.manifest
     assert sup.experiment_id == "fig13"
     sup.journal.complete()
+    assert not (tmp_path / "ckpt" / "fig13").exists()
 
 
 def test_run_context_resume_uses_default_checkpoint_dir(
     tmp_path, monkeypatch
 ):
     monkeypatch.chdir(tmp_path)  # default dir is CWD-relative
-    ctx = RunContext(resume=True)
-    sup = ctx.supervision("fig11")
-    assert sup is not None and sup.journal.resume
+    digest = request_digest("point")
+    PointJournal.campaign("results/checkpoints/fig11").append(digest, 7)
+    sup = RunContext(resume=True).supervision("fig11")
+    assert sup is not None
+    assert sup.journal.get(digest) == 7  # resumed, not reset
     sup.journal.complete()
 
 
@@ -415,7 +504,7 @@ def test_worker_fault_malformed_spec_raises(monkeypatch):
 
 
 def test_checkpoint_truncation_requires_segments(tmp_path):
-    with pytest.raises(RuntimeError, match="no checkpoint segments"):
+    with pytest.raises(RuntimeError, match="no checkpoint entries"):
         inject_checkpoint_truncation(tmp_path)
 
 

@@ -1,17 +1,17 @@
-"""Unit tests for the content-addressed result store (repro.serve.cas):
-framing, atomicity, corruption handling, the tier-aware acceptance
-matrix, and the CasJournal adapter the grid executors consume."""
+"""Unit tests for the content-addressed result store
+(repro.resilience.store): framing, atomicity, corruption handling, the
+tier-aware acceptance matrix, and the daemon's point journal over it."""
 
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import Tracer
-from repro.serve.cas import CacheEntry, CasJournal, ResultCache
+from repro.resilience import CacheEntry, PointJournal, ResultCache
 
 
 @dataclass
@@ -169,48 +169,50 @@ class TestTierMatrix:
 
 
 class TestCasJournal:
+    """The daemon's point journal: the shared store, no manifest."""
+
     def test_append_then_get_round_trips_outcome(self, cache):
-        journal = CasJournal(cache)
-        journal.append(0, DIGEST, FakeOutcome(value=7))
-        # Index is deliberately ignored: pure digest keying means
-        # identical points hit from any grid shape.
-        outcome = journal.get(999, DIGEST)
+        journal = PointJournal(cache, manifest=False)
+        journal.append(DIGEST, FakeOutcome(value=7))
+        # Pure digest keying: a second handle on the store (another
+        # worker, any grid shape) hits the same entry.
+        outcome = PointJournal(cache, manifest=False).get(DIGEST)
         assert outcome == FakeOutcome(value=7)
 
     def test_counters_land_on_tracer(self, cache):
         tracer = Tracer()
-        journal = CasJournal(cache, tracer=tracer)
-        assert journal.get(0, DIGEST) is None
-        journal.append(0, DIGEST, FakeOutcome())
-        assert journal.get(0, DIGEST) is not None
-        assert tracer.resilience == {"cas_misses": 1, "cas_hits": 1}
+        journal = PointJournal(cache, manifest=False, tracer=tracer)
+        assert journal.get(DIGEST) is None  # absent: a plain miss
+        journal.append(DIGEST, FakeOutcome(tier="fast", tier_err=0.2))
+        assert journal.get(DIGEST) is None  # header-rejected
+        assert tracer.resilience == {"points_tier_rejected": 1}
 
     def test_surrogate_outcome_stored_with_its_tier(self, cache):
-        journal = CasJournal(cache)
-        journal.append(
-            0, DIGEST, FakeOutcome(tier="fast", tier_err=0.02)
-        )
+        journal = PointJournal(cache, manifest=False)
+        journal.append(DIGEST, FakeOutcome(tier="fast", tier_err=0.02))
         entry = cache.get("point", DIGEST)
         assert entry.tier == "fast"
         assert entry.tier_err == pytest.approx(0.02)
         # A sim-tier consumer refuses it...
-        assert CasJournal(cache, tier="sim").get(0, DIGEST) is None
+        assert journal.get(DIGEST, None) is None
         # ...an auto consumer takes it within tolerance.
-        auto = CasJournal(cache, tier="auto", tolerance=0.05)
-        assert auto.get(0, DIGEST) is not None
+        auto = SimpleNamespace(tier="auto", tolerance=0.05)
+        assert journal.get(DIGEST, auto) is not None
 
     def test_unpicklable_entry_is_a_miss(self, cache):
         tracer = Tracer()
         cache.put("point", DIGEST, b"not a pickle")
-        journal = CasJournal(cache, tracer=tracer)
-        assert journal.get(0, DIGEST) is None
-        assert tracer.resilience.get("cas_hits", 0) == 0
+        journal = PointJournal(cache, manifest=False, tracer=tracer)
+        assert journal.get(DIGEST) is None
+        assert tracer.resilience == {}
 
     def test_meta_and_complete_are_noops(self, cache):
-        journal = CasJournal(cache)
-        journal.write_meta(experiment_id="x", n_points=3)
+        journal = PointJournal(cache, manifest=False)
+        journal.append(DIGEST, FakeOutcome())
+        journal.write_meta(experiment_id="x", points_expected=3)
         journal.complete()
-        assert cache.entry_count() == 0
+        assert cache.entry_count() == 1
+        assert not (cache.root / "meta.json").exists()
 
 
 # ----------------------------------------------------------- concurrency

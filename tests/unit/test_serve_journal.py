@@ -18,7 +18,7 @@ from repro.check.faults import (
     disarm_serve_fault,
     inject_job_journal_truncation,
 )
-from repro.serve.cas import ResultCache
+from repro.resilience import ResultCache
 from repro.serve.journal import JobJournal, RECOVERABLE_STATES
 from repro.serve.ratelimit import RateLimiter, TokenBucket
 

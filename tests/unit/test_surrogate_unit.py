@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments import RunContext
 from repro.obs import Tracer
+from repro.resilience import PointJournal, ResultCache, request_digest
 from repro.surrogate import (
     GATE_METRICS,
     PROFILE_SCHEMA_VERSION,
@@ -18,7 +19,6 @@ from repro.surrogate import (
     ProfileStore,
     SurrogateModel,
     WorkloadProfile,
-    accepts_cached_outcome,
     profile_key,
 )
 from repro.surrogate.workloads import CALIBRATION_WORKLOADS
@@ -286,33 +286,44 @@ class TestFidelityPolicy:
 
 
 class TestAcceptsCachedOutcome:
+    """The point journal's tier gate on real outcomes: what a resume
+    at each fidelity may reuse from a stored point."""
+
     def policy(self, tmp_path, tier="auto", tolerance=0.05):
         return FidelityPolicy(
             store=ProfileStore(tmp_path), tier=tier, tolerance=tolerance
         )
 
-    def test_sim_points_satisfy_every_tier(self, tmp_path):
-        assert accepts_cached_outcome(sim_outcome(), None)
-        assert accepts_cached_outcome(
-            sim_outcome(), self.policy(tmp_path)
+    def accepts(self, tmp_path, outcome, fidelity) -> bool:
+        journal = PointJournal(
+            ResultCache(tmp_path / "cas"), manifest=False
         )
-        assert accepts_cached_outcome(
-            sim_outcome(), self.policy(tmp_path, tier="fast")
+        digest = request_digest("point")
+        journal.append(digest, outcome)
+        return journal.get(digest, fidelity) is not None
+
+    def test_sim_points_satisfy_every_tier(self, tmp_path):
+        assert self.accepts(tmp_path, sim_outcome(), None)
+        assert self.accepts(
+            tmp_path, sim_outcome(), self.policy(tmp_path)
+        )
+        assert self.accepts(
+            tmp_path, sim_outcome(), self.policy(tmp_path, tier="fast")
         )
 
-    def test_fast_points_rejected_without_policy(self):
+    def test_fast_points_rejected_without_policy(self, tmp_path):
         # --tier sim resume of an auto journal re-simulates, never
         # silently keeps a surrogate point.
-        assert not accepts_cached_outcome(fast_outcome(0.001), None)
+        assert not self.accepts(tmp_path, fast_outcome(0.001), None)
 
     def test_fast_points_gated_by_auto_tolerance(self, tmp_path):
         policy = self.policy(tmp_path, tolerance=0.05)
-        assert accepts_cached_outcome(fast_outcome(0.03), policy)
-        assert not accepts_cached_outcome(fast_outcome(0.10), policy)
+        assert self.accepts(tmp_path, fast_outcome(0.03), policy)
+        assert not self.accepts(tmp_path, fast_outcome(0.10), policy)
 
     def test_fast_policy_accepts_any_fast_point(self, tmp_path):
         policy = self.policy(tmp_path, tier="fast", tolerance=0.0001)
-        assert accepts_cached_outcome(fast_outcome(0.5), policy)
+        assert self.accepts(tmp_path, fast_outcome(0.5), policy)
 
 
 class TestRunContextTier:
@@ -338,3 +349,10 @@ class TestRunContextTier:
     def test_rejects_nonpositive_fidelity(self):
         with pytest.raises(ValueError, match="fidelity"):
             RunContext(fidelity=0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
+    def test_rejects_non_finite_fidelity(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="fidelity"):
+            RunContext(fidelity=bad)
+        with pytest.raises(ValueError, match="fidelity"):
+            FidelityPolicy(store=ProfileStore(tmp_path), tolerance=bad)
