@@ -9,6 +9,7 @@ in :class:`~repro.arch.params.PitonConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from repro.arch.params import PitonConfig
@@ -27,17 +28,45 @@ class TileCoord:
     y: int
 
 
+@lru_cache(maxsize=16)
+def floorplan_tables(config: PitonConfig) -> tuple[tuple, tuple, tuple]:
+    """Tile geometry of one mesh, built once per configuration.
+
+    Returns ``(coords, hops, turns)``: ``coords[tile]`` is the tile's
+    :class:`TileCoord`, ``hops[src][dst]`` the Manhattan hop count and
+    ``turns[src][dst]`` 1 when the dimension-ordered route changes
+    dimension, else 0. The memory system prices every message from
+    these; :func:`repro.noc.mesh.mesh_tables` builds its routing tables
+    on ``coords``.
+    """
+    width = config.mesh_width
+    coords = tuple(
+        TileCoord(t % width, t // width) for t in range(config.tile_count)
+    )
+    hops = tuple(
+        tuple(abs(a.x - b.x) + abs(a.y - b.y) for b in coords)
+        for a in coords
+    )
+    turns = tuple(
+        tuple(int(a.x != b.x and a.y != b.y) for b in coords)
+        for a in coords
+    )
+    return coords, hops, turns
+
+
 class Floorplan:
     """Geometry queries over a mesh configuration."""
 
     def __init__(self, config: PitonConfig | None = None):
         self.config = config or PitonConfig()
+        self._coords, self.hop_table, self.turn_table = floorplan_tables(
+            self.config
+        )
 
     # --- numbering ----------------------------------------------------------
     def coord_of(self, tile_id: int) -> TileCoord:
         self._check_tile(tile_id)
-        width = self.config.mesh_width
-        return TileCoord(tile_id % width, tile_id // width)
+        return self._coords[tile_id]
 
     def tile_id_of(self, coord: TileCoord) -> int:
         if not (
@@ -53,13 +82,15 @@ class Floorplan:
     # --- distance -----------------------------------------------------------
     def hops(self, src: int, dst: int) -> int:
         """Manhattan hop count between two tiles."""
-        a, b = self.coord_of(src), self.coord_of(dst)
-        return abs(a.x - b.x) + abs(a.y - b.y)
+        self._check_tile(src)
+        self._check_tile(dst)
+        return self.hop_table[src][dst]
 
     def has_turn(self, src: int, dst: int) -> bool:
         """True when the dimension-ordered route changes dimension."""
-        a, b = self.coord_of(src), self.coord_of(dst)
-        return a.x != b.x and a.y != b.y
+        self._check_tile(src)
+        self._check_tile(dst)
+        return bool(self.turn_table[src][dst])
 
     def route(self, src: int, dst: int) -> list[int]:
         """Dimension-ordered (X then Y) tile path, inclusive of endpoints."""

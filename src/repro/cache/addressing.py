@@ -38,23 +38,27 @@ class AddressMap:
         interleave: Interleave = Interleave.LOW,
     ):
         self.config = config or PitonConfig()
-        self.interleave = interleave
+        self._interleave = interleave
+        line_bits = (self.config.l2_slice.line_bytes - 1).bit_length()
+        if interleave is Interleave.LOW:
+            self._shift = line_bits
+        elif interleave is Interleave.MIDDLE:
+            self._shift = max(self.MIDDLE_SHIFT, line_bits)
+        else:
+            self._shift = max(self.HIGH_SHIFT, line_bits)
+        self._tiles = self.config.tile_count
+
+    @property
+    def interleave(self) -> Interleave:
+        """The homing field's position (fixed at construction)."""
+        return self._interleave
 
     # --- forward mapping -------------------------------------------------------
     def home_tile(self, addr: int) -> int:
         """Home L2 slice (tile id) for the line containing ``addr``."""
         if addr < 0:
             raise ValueError("addresses must be non-negative")
-        shift = self._shift()
-        return (addr >> shift) % self.config.tile_count
-
-    def _shift(self) -> int:
-        line_bits = (self.config.l2_slice.line_bytes - 1).bit_length()
-        if self.interleave is Interleave.LOW:
-            return line_bits
-        if self.interleave is Interleave.MIDDLE:
-            return max(self.MIDDLE_SHIFT, line_bits)
-        return max(self.HIGH_SHIFT, line_bits)
+        return (addr >> self._shift) % self._tiles
 
     # --- inverse construction (the Table VII trick) -----------------------------
     def address_homed_at(
@@ -73,7 +77,7 @@ class AddressMap:
         """
         if not 0 <= tile < self.config.tile_count:
             raise ValueError(f"tile {tile} out of range")
-        shift = self._shift()
+        shift = self._shift
         n = self.config.tile_count
         # Walk candidate line numbers whose homing field selects `tile`,
         # spaced so successive sequence numbers differ in tag bits.

@@ -41,7 +41,8 @@ class L2Slice:
         self.ledger = ledger
 
     def line_addr(self, addr: int) -> int:
-        return self.tags.line_addr(addr) * self.tags.params.line_bytes
+        line_bytes = self.tags.line_bytes
+        return addr // line_bytes * line_bytes
 
     def lookup(self, addr: int, write: bool = False) -> bool:
         """Tag + directory-cache lookup; returns residency."""

@@ -24,6 +24,11 @@ class AccessResult:
     evicted_dirty: bool = False
 
 
+#: The two outcomes of an access or a fill that evicts nothing.
+_HIT = AccessResult(hit=True)
+_MISS = AccessResult(hit=False)
+
+
 class SetAssocCache:
     """A set-associative cache tag store.
 
@@ -36,22 +41,19 @@ class SetAssocCache:
         self.params = params
         self.name = name
         self.stats = CacheStats()
+        #: The geometry as plain ints (``params`` derives ``num_sets``
+        #: on every read).
+        self.line_bytes = params.line_bytes
+        self.num_sets = params.num_sets
         self._sets: list[list[tuple[int, bool]]] = [
-            [] for _ in range(params.num_sets)
+            [] for _ in range(self.num_sets)
         ]
-
-    # --- address helpers ------------------------------------------------------
-    def line_addr(self, addr: int) -> int:
-        return addr // self.params.line_bytes
-
-    def set_index(self, addr: int) -> int:
-        return self.line_addr(addr) % self.params.num_sets
 
     # --- operations -----------------------------------------------------------
     def probe(self, addr: int) -> bool:
         """Check residency without updating LRU or statistics."""
-        line = self.line_addr(addr)
-        return any(tag == line for tag, _ in self._sets[self.set_index(addr)])
+        line = addr // self.line_bytes
+        return any(tag == line for tag, _ in self._sets[line % self.num_sets])
 
     def access(self, addr: int, write: bool = False) -> AccessResult:
         """Look up ``addr``; on a hit, update LRU (and dirty if ``write``).
@@ -60,16 +62,16 @@ class SetAssocCache:
         :meth:`fill`, because protocol actions (fetching from the next
         level) happen in between.
         """
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
+        line = addr // self.line_bytes
+        entries = self._sets[line % self.num_sets]
         for i, (tag, dirty) in enumerate(entries):
             if tag == line:
                 entries.pop(i)
                 entries.insert(0, (line, dirty or write))
                 self.stats.hits += 1
-                return AccessResult(hit=True)
+                return _HIT
         self.stats.misses += 1
-        return AccessResult(hit=False)
+        return _MISS
 
     def fill(self, addr: int, dirty: bool = False) -> AccessResult:
         """Install the line containing ``addr``, evicting LRU if needed.
@@ -77,20 +79,21 @@ class SetAssocCache:
         Returns the evicted line's base byte address (and dirtiness) so
         the caller can issue a writeback / directory notification.
         """
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
+        line = addr // self.line_bytes
+        entries = self._sets[line % self.num_sets]
         for i, (tag, was_dirty) in enumerate(entries):
             if tag == line:  # already present: refresh
                 entries.pop(i)
                 entries.insert(0, (line, was_dirty or dirty))
-                return AccessResult(hit=True)
-        evicted_addr, evicted_dirty = None, False
-        if len(entries) >= self.params.associativity:
-            tag, evicted_dirty = entries.pop()
-            evicted_addr = tag * self.params.line_bytes
-            self.stats.evictions += 1
-            if evicted_dirty:
-                self.stats.writebacks += 1
+                return _HIT
+        if len(entries) < self.params.associativity:
+            entries.insert(0, (line, dirty))
+            return _MISS
+        tag, evicted_dirty = entries.pop()
+        evicted_addr = tag * self.line_bytes
+        self.stats.evictions += 1
+        if evicted_dirty:
+            self.stats.writebacks += 1
         entries.insert(0, (line, dirty))
         return AccessResult(
             hit=False,
@@ -104,8 +107,8 @@ class SetAssocCache:
         The caller is responsible for writing back dirty data first
         (use :meth:`is_dirty`).
         """
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
+        line = addr // self.line_bytes
+        entries = self._sets[line % self.num_sets]
         for i, (tag, _) in enumerate(entries):
             if tag == line:
                 entries.pop(i)
@@ -114,15 +117,15 @@ class SetAssocCache:
         return False
 
     def is_dirty(self, addr: int) -> bool:
-        line = self.line_addr(addr)
+        line = addr // self.line_bytes
         return any(
             tag == line and dirty
-            for tag, dirty in self._sets[self.set_index(addr)]
+            for tag, dirty in self._sets[line % self.num_sets]
         )
 
     def set_dirty(self, addr: int, dirty: bool = True) -> None:
-        line = self.line_addr(addr)
-        entries = self._sets[self.set_index(addr)]
+        line = addr // self.line_bytes
+        entries = self._sets[line % self.num_sets]
         for i, (tag, _) in enumerate(entries):
             if tag == line:
                 entries[i] = (tag, dirty)
@@ -132,10 +135,10 @@ class SetAssocCache:
     def resident_lines(self) -> list[int]:
         """Base byte addresses of all resident lines (for invariants)."""
         return [
-            tag * self.params.line_bytes
+            tag * self.line_bytes
             for entries in self._sets
             for tag, _ in entries
         ]
 
     def flush(self) -> None:
-        self._sets = [[] for _ in range(self.params.num_sets)]
+        self._sets = [[] for _ in range(self.num_sets)]

@@ -36,6 +36,11 @@ RESPONSE_FLITS = 3
 INVALIDATE_FLITS = 2
 ACK_FLITS = 1
 
+#: Ledger names of physical NoC ``n``'s flit and flit-hop events,
+#: indexed by ``n`` (1-3).
+_FLIT_EVENT = tuple(f"noc{n}.flit" for n in range(4))
+_FLIT_HOP_EVENT = tuple(f"noc{n}.flit_hop" for n in range(4))
+
 
 def fixed_offchip_model(
     cycles: int = 390,
@@ -80,6 +85,11 @@ class CoherentMemorySystem:
         self.config = config or PitonConfig()
         self.ledger = ledger if ledger is not None else EventLedger()
         self.floorplan = Floorplan(self.config)
+        # Every message is priced from the per-config hop/turn tables.
+        self._hops = self.floorplan.hop_table
+        self._turns = self.floorplan.turn_table
+        self._l15_bytes = self.config.l15.line_bytes
+        self._l2_bytes = self.config.l2_slice.line_bytes
         self.address_map = address_map or AddressMap(self.config)
         self.latency = latency_model or default_latency_model(self.config)
         self.offchip = offchip or fixed_offchip_model()
@@ -108,6 +118,9 @@ class CoherentMemorySystem:
             L2Slice(t, self.config.l2_slice, self.ledger) for t in range(n)
         ]
         # MESI state of each L1.5-resident line, keyed by line base addr.
+        # Its keys are exactly the lines resident in the tile's L1.5, and
+        # the L1D (inclusive) holds a subset of them, so coherence
+        # actions visit only the sub-lines present here.
         self._l15_state: list[dict[int, MesiState]] = [{} for _ in range(n)]
 
     def set_mitts(self, tile: int, shaper: MittsShaper) -> None:
@@ -127,7 +140,7 @@ class CoherentMemorySystem:
 
         # L1D miss: look in the encapsulating L1.5.
         self.ledger.record("l15.read")
-        state = self._l15_state[tile].get(self._l15_line(tile, addr))
+        state = self._l15_state[tile].get(self._l15_line(addr))
         if state is not None and state.can_read:
             self.l15[tile].access(addr)
             self._fill_l1d(tile, addr)
@@ -144,9 +157,11 @@ class CoherentMemorySystem:
         if self.cdr is not None:
             self.cdr.check(tile, addr)
         self.ledger.record("l1d.write")
-        l1d_hit = self.l1d[tile].access(addr, write=True).hit
+        # Write-through, no-write-allocate L1D: a hit updates its LRU
+        # state; the write itself lands in the L1.5.
+        self.l1d[tile].access(addr, write=True)
 
-        line = self._l15_line(tile, addr)
+        line = self._l15_line(addr)
         state = self._l15_state[tile].get(line)
         self.ledger.record("l15.write")
         if state is MesiState.MODIFIED:
@@ -165,9 +180,6 @@ class CoherentMemorySystem:
                 tile, addr, exclusive=True, now=now
             )
         # The store retires through the store buffer after ownership.
-        if not l1d_hit:
-            # No-write-allocate L1D: the write lands in the L1.5 only.
-            pass
         return outcome
 
     # ----------------------------------------------------------------- fetch
@@ -179,8 +191,8 @@ class CoherentMemorySystem:
         if self.l1i[tile].access(addr).hit:
             return MemoryAccessOutcome(1, "l1")
         home = self.address_map.home_tile(addr)
-        hops = self.floorplan.hops(tile, home)
-        turns = 1 if self.floorplan.has_turn(tile, home) else 0
+        hops = self._hops[tile][home]
+        turns = self._turns[tile][home]
         self._noc_transfer(1, tile, home, REQUEST_FLITS)
         self._noc_transfer(3, home, tile, RESPONSE_FLITS + 2)
         latency = self.latency.l2_hit(hops, turns)
@@ -228,8 +240,8 @@ class CoherentMemorySystem:
         now: int = 0,
     ) -> MemoryAccessOutcome:
         home = self.address_map.home_tile(addr)
-        hops = self.floorplan.hops(tile, home)
-        turns = 1 if self.floorplan.has_turn(tile, home) else 0
+        hops = self._hops[tile][home]
+        turns = self._turns[tile][home]
         self._noc_transfer(1, tile, home, REQUEST_FLITS)
 
         latency = self.latency.l2_hit(hops, turns)
@@ -282,8 +294,8 @@ class CoherentMemorySystem:
     def _upgrade_to_owner(self, tile: int, addr: int) -> MemoryAccessOutcome:
         """S -> M upgrade: invalidate the other sharers via the home."""
         home = self.address_map.home_tile(addr)
-        hops = self.floorplan.hops(tile, home)
-        turns = 1 if self.floorplan.has_turn(tile, home) else 0
+        hops = self._hops[tile][home]
+        turns = self._turns[tile][home]
         self._noc_transfer(1, tile, home, REQUEST_FLITS)
         if not self.l2[home].lookup(addr, write=True):
             raise CoherenceError(
@@ -297,7 +309,7 @@ class CoherentMemorySystem:
         entry.set_owner(tile)
         self._noc_transfer(3, home, tile, ACK_FLITS)
         self.l15[tile].access(addr, write=True)
-        line = self._l15_line(tile, addr)
+        line = self._l15_line(addr)
         self._l15_state[tile][line] = MesiState.MODIFIED
         return MemoryAccessOutcome(
             latency, "l2_local" if hops == 0 else "l2_remote", hops, turns, home
@@ -314,6 +326,7 @@ class CoherentMemorySystem:
         if entry.owner is not None:
             targets.add(entry.owner)
         targets.discard(except_tile)
+        hops, turns, latency = self._hops[home], self._turns[home], self.latency
         for target in targets:
             self._noc_transfer(2, home, target, INVALIDATE_FLITS)
             dirty = self._invalidate_private(target, addr)
@@ -322,10 +335,8 @@ class CoherentMemorySystem:
             if dirty:
                 self.l2[home].writeback_data(addr)
             round_trip = 2 * (
-                self.floorplan.hops(home, target) * self.latency.hop
-                + (1 if self.floorplan.has_turn(home, target) else 0)
-                * self.latency.turn
-            ) + self.latency.l15_lookup
+                hops[target] * latency.hop + turns[target] * latency.turn
+            ) + latency.l15_lookup
             worst = max(worst, round_trip)
         return worst
 
@@ -336,24 +347,26 @@ class CoherentMemorySystem:
         assert owner is not None
         self._noc_transfer(2, home, owner, INVALIDATE_FLITS)
         dirty = False
+        states = self._l15_state[owner]
+        l15 = self.l15[owner]
         for subline in self._l2_sublines(addr):
-            state = self._l15_state[owner].get(subline)
+            state = states.get(subline)
             if state is None:
                 continue
             dirty = dirty or state is MesiState.MODIFIED
-            self._l15_state[owner][subline] = MesiState.SHARED
-            if self.l15[owner].probe(subline):
-                self.l15[owner].set_dirty(subline, False)
+            states[subline] = MesiState.SHARED
+            if l15.probe(subline):
+                l15.set_dirty(subline, False)
         flits = ACK_FLITS + (2 if dirty else 0)
         self._noc_transfer(3, owner, home, flits)
         if dirty:
             self.l2[home].writeback_data(addr)
         entry.downgrade_owner_to_sharer()
+        latency = self.latency
         return 2 * (
-            self.floorplan.hops(home, owner) * self.latency.hop
-            + (1 if self.floorplan.has_turn(home, owner) else 0)
-            * self.latency.turn
-        ) + self.latency.l15_lookup
+            self._hops[home][owner] * latency.hop
+            + self._turns[home][owner] * latency.turn
+        ) + latency.l15_lookup
 
     def _l2_fill_from_memory(
         self, home: int, addr: int, now: int = 0, requester: int | None = None
@@ -402,30 +415,33 @@ class CoherentMemorySystem:
         containing ``addr``; returns True if any sub-line was dirty.
 
         The directory tracks 64B L2 lines while the L1/L1.5 hold 16B
-        lines, so one coherence action must sweep all four sub-lines.
+        lines, so one coherence action covers all four sub-lines; only
+        those the tile holds need their tags dropped.
         """
         dirty = False
+        states = self._l15_state[tile]
         for subline in self._l2_sublines(addr):
-            state = self._l15_state[tile].pop(subline, None)
+            state = states.pop(subline, None)
+            if state is None:
+                continue
             dirty = dirty or state is MesiState.MODIFIED
             self.l1d[tile].invalidate(subline)
             self.l15[tile].invalidate(subline)
         return dirty
 
-    def _l2_sublines(self, addr: int) -> list[int]:
+    def _l2_sublines(self, addr: int) -> range:
         """Base addresses of the L1.5-granularity pieces of the L2
         line containing ``addr``."""
-        l2_bytes = self.config.l2_slice.line_bytes
-        l15_bytes = self.config.l15.line_bytes
-        base = (addr // l2_bytes) * l2_bytes
-        return [base + off for off in range(0, l2_bytes, l15_bytes)]
+        l2_bytes = self._l2_bytes
+        base = addr // l2_bytes * l2_bytes
+        return range(base, base + l2_bytes, self._l15_bytes)
 
     def _fill_l15(self, tile: int, addr: int, state: MesiState) -> None:
         self.ledger.record("l15.fill")
         result = self.l15[tile].fill(
             addr, dirty=state is MesiState.MODIFIED
         )
-        line = self._l15_line(tile, addr)
+        line = self._l15_line(addr)
         self._l15_state[tile][line] = state
         if result.evicted_line_addr is not None:
             self._evict_l15_line(tile, result.evicted_line_addr)
@@ -454,15 +470,15 @@ class CoherentMemorySystem:
         self.ledger.record("l1d.fill")
         self.l1d[tile].fill(addr)
 
-    def _l15_line(self, tile: int, addr: int) -> int:
-        return self.l15[tile].line_addr(addr) * self.config.l15.line_bytes
+    def _l15_line(self, addr: int) -> int:
+        return addr // self._l15_bytes * self._l15_bytes
 
     def _noc_transfer(self, network: int, src: int, dst: int, flits: int) -> None:
         """Record flit-hop events for a message on physical NoC ``network``."""
-        hops = self.floorplan.hops(src, dst)
-        self.ledger.record(f"noc{network}.flit", flits)
+        hops = self._hops[src][dst]
+        self.ledger.record(_FLIT_EVENT[network], flits)
         if hops:
-            self.ledger.record(f"noc{network}.flit_hop", flits * hops)
+            self.ledger.record(_FLIT_HOP_EVENT[network], flits * hops)
 
     # ------------------------------------------------------------- invariants
     def check_invariants(self) -> None:

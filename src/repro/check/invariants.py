@@ -162,11 +162,11 @@ class CheckSuite:
                 f"tile {tile}: occupancy {len(sb)} exceeds capacity "
                 f"{sb.capacity}",
             )
-        if (sb._head_done_at is None) != sb.empty:
+        if (sb.head_done_at is None) != sb.empty:
             self._fail(
                 "store_buffer",
                 f"tile {tile}: drain timer/occupancy disagree "
-                f"(head_done_at={sb._head_done_at}, len={len(sb)})",
+                f"(head_done_at={sb.head_done_at}, len={len(sb)})",
             )
         seqs = [entry.seq for entry in sb._entries]
         if any(b <= a for a, b in zip(seqs, seqs[1:])):

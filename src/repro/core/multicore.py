@@ -1,9 +1,12 @@
-"""Lockstep multicore engine and the shared functional memory.
+"""Multicore engine and the shared functional memory.
 
-The engine steps every active core cycle-by-cycle against the shared
-coherent memory system. Idle gaps (all threads stalled on long
-latencies) are fast-forwarded, so the cost of simulation scales with
-instructions executed rather than cycles elapsed.
+The engine advances a set of cores in lockstep against the shared
+coherent memory system, but steps a core only in the cycles at which it
+is due (its next-event cycle: a thread becomes ready or a store drains).
+Cycles in which no core is due are skipped outright. The cycles a core
+was not stepped through are credited to its statistics lazily, so the
+cost of simulation scales with instructions executed rather than with
+cycles elapsed or with cores stalled.
 """
 
 from __future__ import annotations
@@ -57,8 +60,27 @@ class RunResult:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
+def _settle(
+    active: list[Core], settled: list[int], idle_at: list[int],
+    until: int, idle: int,
+) -> int:
+    """Credit each active core the cycles before ``until`` it was not
+    stepped through, ``idle`` being the run's globally idle cycles so
+    far. Returns the idle cycles' stall events."""
+    events = 0
+    for i, core in enumerate(active):
+        gap = until - settled[i]
+        if gap > 0:
+            gap_idle = idle - idle_at[i]
+            core.credit_skipped(gap, gap_idle)
+            events += gap_idle
+            settled[i] = until
+            idle_at[i] = idle
+    return events
+
+
 class MulticoreEngine:
-    """Steps a set of cores in lockstep over shared memory."""
+    """Steps a set of cores over shared memory, each when it is due."""
 
     #: Cycle interval between full invariant sweeps when a checker is
     #: installed (sweeps also run once at the end of every run).
@@ -144,24 +166,35 @@ class MulticoreEngine:
             raise RuntimeError("no active cores")
         if cycles is None and not until_done:
             raise ValueError("specify cycles or until_done")
-        start_cycle = self.now
+        start_cycle = now = self.now
         start_instrs = self.total_instructions
-        deadline = None if cycles is None else self.now + cycles
+        deadline = None if cycles is None else now + cycles
         cores = list(self.cores.values())
         active = [c for c in cores if not c.done]
-        far_future = 1 << 62
-        ff_stall_events = 0
         checker = self.checker
         next_check = (
-            self.now + self.CHECK_INTERVAL
-            if checker is not None
-            else far_future
+            now + self.CHECK_INTERVAL if checker is not None else None
         )
+        # Per active core, index-aligned with ``active``: ``due`` is the
+        # cycle the core is next stepped at (every core is stepped in
+        # the run's first cycle, which yields its first next-event
+        # cycle); ``settled`` is the first cycle not yet credited to its
+        # stats, and ``idle_at`` the number of globally idle cycles
+        # (cycles in which no core was due) before ``settled``.
+        due = [now] * len(active)
+        settled = [now] * len(active)
+        idle_at = [0] * len(active)
+        idle = 0
+        # Stall events of globally idle cycles, recorded on the ledger
+        # in one batch (the stalls of visited cycles are per-core).
+        idle_stall_events = 0
 
         try:
             while active:
-                now = self.now
                 if checker is not None and now >= next_check:
+                    idle_stall_events += _settle(
+                        active, settled, idle_at, now, idle
+                    )
                     checker.check_engine(self)
                     next_check = now + self.CHECK_INTERVAL
                 if deadline is not None and now >= deadline:
@@ -170,38 +203,43 @@ class MulticoreEngine:
                     raise RuntimeError(
                         f"workload did not finish within {max_cycles} cycles"
                     )
-                # Step every active core; each step returns the core's
-                # next-event cycle so the fast-forward target needs no
-                # second scan over threads and store buffers.
-                next_now = far_future
+                # Step the due cores in tile-activation order; each step
+                # returns the core's next-event cycle.
                 finished = False
-                for core in active:
-                    next_event = core.step(now)
+                settled_to = now + 1
+                for i, core in enumerate(active):
+                    if due[i] != now:
+                        continue
+                    gap = now - settled[i]
+                    if gap:
+                        gap_idle = idle - idle_at[i]
+                        core.credit_skipped(gap, gap_idle)
+                        idle_stall_events += gap_idle
+                        idle_at[i] = idle
+                    settled[i] = settled_to
+                    due[i] = core.step(now)
                     if core.done:
                         finished = True
-                    elif next_event < next_now:
-                        next_now = next_event
                 if finished:
-                    active = [c for c in active if not c.done]
-                    if not active:
+                    keep = [i for i, c in enumerate(active) if not c.done]
+                    if not keep:
                         self.now = now + 1
                         break
+                    active = [active[i] for i in keep]
+                    due = [due[i] for i in keep]
+                    settled = [settled[i] for i in keep]
+                    idle_at = [idle_at[i] for i in keep]
+                next_now = min(due)
                 if deadline is not None and next_now > deadline:
                     next_now = deadline
-                skipped = next_now - now - 1
-                if skipped > 0:
-                    # Fast-forward across globally idle cycles; the
-                    # skipped cycles are stall cycles for every core
-                    # that is still active (cores that finished this
-                    # cycle accrue neither stats nor ledger stalls).
-                    for core in active:
-                        core.stats.cycles += skipped
-                        core.stats.stall_cycles += skipped
-                    ff_stall_events += skipped * len(active)
-                self.now = next_now if next_now > now + 1 else now + 1
+                idle += next_now - now - 1
+                self.now = now = next_now
         finally:
-            if ff_stall_events:
-                self.ledger.record("core.stall_cycle", ff_stall_events)
+            idle_stall_events += _settle(
+                active, settled, idle_at, self.now, idle
+            )
+            if idle_stall_events:
+                self.ledger.record("core.stall_cycle", idle_stall_events)
             for core in cores:
                 core.flush_events()
         if checker is not None:

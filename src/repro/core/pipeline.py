@@ -13,8 +13,10 @@ Timing rules (all from the paper / OpenSPARC T1 documentation):
 * the store buffer drains serially at the 10-cycle ``stx`` latency and
   performs the real (coherent) L1.5 write at drain time.
 
-Hot-loop design: the issue loop runs once per core per simulated
-cycle — millions of times per experiment — so it avoids per-event
+Hot-loop design: the engine calls :meth:`Core.step` only in the cycles
+a core is due (a thread becomes ready or a store drains) and credits
+the cycles in between through :meth:`Core.credit_skipped`. The step
+still runs millions of times per experiment, so it avoids per-event
 string hashing and per-instruction opcode lookups. Core-side energy
 events accumulate in interned integer counters (per instruction class)
 and are folded into the shared :class:`EventLedger` once per engine
@@ -122,12 +124,32 @@ class Core:
                 r = t.ready_at
                 if best is None or r < best:
                     best = r
-        drain = self.store_buffer._head_done_at
+        drain = self.store_buffer.head_done_at
         if drain is not None and (best is None or drain < best):
             best = drain
         if best is None:
             return now + _FAR_FUTURE  # effectively never
         return best if best > now else now + 1
+
+    def credit_skipped(self, cycles: int, idle: int) -> None:
+        """Credit ``cycles`` cycles the engine did not step this core
+        through; in ``idle`` of them it stepped no core at all.
+
+        This is the stall rule of a step that issues nothing, applied in
+        bulk: every skipped cycle stalls a core with unfinished threads.
+        A drain-only core (every thread finished, stores still
+        draining) does not stall in a cycle the engine visits for other
+        cores, but does in a globally idle one. The engine records the
+        idle cycles' ledger events itself, so only the visited ones are
+        counted here.
+        """
+        stats = self.stats
+        stats.cycles += cycles
+        if self._undone:
+            stats.stall_cycles += cycles
+            self._stall_cycle_events += cycles - idle
+        else:
+            stats.stall_cycles += idle
 
     # ----------------------------------------------------------------- events
     def flush_events(self) -> None:
@@ -168,19 +190,35 @@ class Core:
         """Advance one cycle: drain stores, select a thread, issue.
 
         Returns the core's next-event cycle (its post-step
-        :meth:`next_event_cycle`), which the engine uses to fast-forward
-        globally idle gaps without a second scan over the threads.
+        :meth:`next_event_cycle`): the engine steps the core again only
+        at that cycle, without a second scan over the threads.
         """
         stats = self.stats
         stats.cycles += 1
         store_buffer = self.store_buffer
-        if (
-            store_buffer._head_done_at is not None
-            and now >= store_buffer._head_done_at
-        ):
+        drain = store_buffer.head_done_at
+        if drain is not None and now >= drain:
             self._drain_stores(now)
 
-        thread = self._select_thread(now)
+        # Select a thread: round-robin among the ready ones.
+        threads = self.threads
+        n = len(threads)
+        thread = None
+        if n == 1:
+            candidate = threads[0]
+            if not candidate.done and candidate.ready_at <= now:
+                thread = candidate
+        else:
+            rr_next = self._rr_next
+            for offset in range(n):
+                idx = rr_next + offset
+                if idx >= n:
+                    idx -= n
+                candidate = threads[idx]
+                if not candidate.done and candidate.ready_at <= now:
+                    self._rr_next = (idx + 1) % n
+                    thread = candidate
+                    break
         if thread is None:
             if self._undone:
                 stats.stall_cycles += 1
@@ -267,25 +305,6 @@ class Core:
         if extra > 0:
             # Memory backpressure delays the next drain.
             self.store_buffer.delay_head(extra)
-
-    def _select_thread(self, now: int) -> ThreadContext | None:
-        threads = self.threads
-        n = len(threads)
-        if n == 1:
-            thread = threads[0]
-            if not thread.done and thread.ready_at <= now:
-                return thread
-            return None
-        rr_next = self._rr_next
-        for offset in range(n):
-            idx = rr_next + offset
-            if idx >= n:
-                idx -= n
-            thread = threads[idx]
-            if not thread.done and thread.ready_at <= now:
-                self._rr_next = (idx + 1) % n
-                return thread
-        return None
 
     def _rollback(self, thread: ThreadContext, now: int, kind: str) -> None:
         """Speculative-issue failure: replay after the pipeline refills."""

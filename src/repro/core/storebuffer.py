@@ -32,7 +32,10 @@ class StoreBuffer:
         self.capacity = capacity
         self.drain_cycles = drain_cycles
         self._entries: deque[StoreEntry] = deque()
-        self._head_done_at: int | None = None
+        #: Cycle the head entry finishes draining, ``None`` when empty.
+        #: Read-only outside the buffer: the core and the invariant
+        #: checks read it, only the buffer's own methods move it.
+        self.head_done_at: int | None = None
         self.drained = 0
         self.pushed = 0
 
@@ -54,8 +57,8 @@ class StoreBuffer:
         entry.seq = self.pushed
         self.pushed += 1
         self._entries.append(entry)
-        if self._head_done_at is None:
-            self._head_done_at = now + self.drain_cycles
+        if self.head_done_at is None:
+            self.head_done_at = now + self.drain_cycles
 
     def drain_ready(self, now: int) -> StoreEntry | None:
         """Pop the head entry if its drain interval has elapsed.
@@ -63,18 +66,14 @@ class StoreBuffer:
         The caller performs the actual L1.5 write (and records its
         energy); the buffer only sequences the timing.
         """
-        if self._head_done_at is None or now < self._head_done_at:
+        if self.head_done_at is None or now < self.head_done_at:
             return None
         entry = self._entries.popleft()
         self.drained += 1
-        self._head_done_at = (
+        self.head_done_at = (
             None if not self._entries else now + self.drain_cycles
         )
         return entry
-
-    def next_event_cycle(self) -> int | None:
-        """Cycle of the next drain completion, for idle fast-forwarding."""
-        return self._head_done_at
 
     def delay_head(self, extra: int) -> None:
         """Push the pending head drain back by ``extra`` cycles.
@@ -85,8 +84,8 @@ class StoreBuffer:
         """
         if extra < 0:
             raise ValueError("delay must be non-negative")
-        if self._head_done_at is not None:
-            self._head_done_at += extra
+        if self.head_done_at is not None:
+            self.head_done_at += extra
 
     def forward_value(self, addr: int) -> int | None:
         """Store-to-load forwarding: the youngest buffered store to the

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import lru_cache
 
-from repro.arch.floorplan import Floorplan, TileCoord
+from repro.arch.floorplan import Floorplan, TileCoord, floorplan_tables
 from repro.arch.params import PitonConfig
 from repro.noc.flit import Flit, Packet, coupling_factor, switching_bits
 from repro.noc.router import Port, Router, is_turn
@@ -52,7 +52,7 @@ def mesh_tables(config: PitonConfig) -> tuple[tuple, tuple]:
     local port and the mesh edge.
     """
     floorplan = Floorplan(config)
-    coords = [floorplan.coord_of(t) for t in floorplan.all_tiles()]
+    coords = floorplan_tables(config)[0]
     route = tuple(
         tuple(Router(t, c.x, c.y).route_port(d.x, d.y) for d in coords)
         for t, c in enumerate(coords)

@@ -259,7 +259,7 @@ class TestCoherentMemorySystem:
     def test_first_reader_gets_exclusive(self):
         ms, _ = self.make()
         ms.load(3, 3 * 64)
-        line = ms._l15_line(3, 3 * 64)
+        line = ms._l15_line(3 * 64)
         assert ms._l15_state[3][line] is MesiState.EXCLUSIVE
 
     def test_store_invalidates_sharers(self):

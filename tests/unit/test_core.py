@@ -169,9 +169,9 @@ class TestStoreBuffer:
 
     def test_next_event(self):
         sb = StoreBuffer()
-        assert sb.next_event_cycle() is None
+        assert sb.head_done_at is None
         sb.push(StoreEntry(0, 0, 0), now=5)
-        assert sb.next_event_cycle() == 15
+        assert sb.head_done_at == 15
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -331,6 +331,30 @@ class TestMulticoreEngine:
         core = engine.cores[0]
         assert core.stats.cycles == result.cycles
         assert core.stats.stall_cycles >= 70
+
+    def test_drain_only_core_stalls_only_in_idle_cycles(self):
+        # Tile 0 finishes on four stores that miss to DRAM, so its
+        # thread is done long before its buffer drains; tile 6 sits
+        # stalled on DRAM loads meanwhile. A drain-only core stalls in
+        # globally idle cycles but not in cycles the engine visits for
+        # itself (drains) or for tile 6 (load issues): tile 0 issued 5
+        # of 1320 cycles and stalled 1308, leaving 7 visited cycles.
+        engine = MulticoreEngine()
+        stores = "\n".join(f"stx %r2, [%r1 + {64 * i}]" for i in range(4))
+        engine.add_core(0, [assemble("add %r1, %r2, %r3\n" + stores)],
+                        init_regs={1: 0x8000, 2: 7})
+        loads = "\n".join(f"ldx [%r1 + {0x400 * i}], %r3" for i in range(3))
+        engine.add_core(6, [assemble(loads + "\nnop")],
+                        init_regs={1: 0x20000})
+        result = engine.run(until_done=True)
+        drain_only, loader = engine.cores[0].stats, engine.cores[6].stats
+        assert result.cycles == 1320
+        assert (drain_only.cycles, drain_only.issued) == (1320, 5)
+        assert drain_only.stall_cycles == 1308
+        assert (loader.cycles, loader.issued) == (1297, 4)
+        assert loader.stall_cycles == 1293
+        assert engine.ledger.count("core.stall_cycle") == 1308 + 1293
+        assert engine.ledger.weights["core.stall_cycle"] == 0.5 * (1308 + 1293)
 
 
 class TestSharedMemory:
